@@ -46,10 +46,10 @@ from .galvin import (
     KernelOracleError,
     LatinReport,
     UndersizedListError,
-    bruteforce_oracle,
     build_square_orientation,
     cell_to_vertex,
     check_condition_y,
+    is_square_kernel,
     latin_value,
     list_color_with_kernels,
     solve_dinitz,
@@ -78,7 +78,6 @@ __all__ = [
     "StabilityReport",
     "UndersizedListError",
     "VertexRangeError",
-    "bruteforce_oracle",
     "build_square_orientation",
     "cell_to_vertex",
     "check_condition_y",
@@ -90,6 +89,7 @@ __all__ = [
     "induced_subgraph",
     "is_independent",
     "is_kernel",
+    "is_square_kernel",
     "is_stable",
     "latin_value",
     "list_color_with_kernels",

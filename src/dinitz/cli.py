@@ -12,8 +12,10 @@ machine-readable output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import random
 import sys
 
@@ -23,6 +25,7 @@ from .galvin import (
     KernelOracleError,
     UndersizedListError,
     build_square_orientation,
+    latin_value,
     solve_dinitz,
     square_kernel_oracle,
     verify_generalized_latin,
@@ -64,7 +67,13 @@ def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or not cell:
                 raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
-            if len(set(cell)) != len(cell):
+            try:
+                distinct = len(set(cell))
+            except TypeError:
+                raise ValueError(
+                    f"{path}: cell ({i}, {j}) has an array or object as a color label"
+                ) from None
+            if distinct != len(cell):
                 _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
     return DinitzInstance.from_labels(lists)
 
@@ -79,6 +88,22 @@ def _load_solution(path: str) -> tuple[int, list]:
     if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
         raise ValueError(f"{path}: 'grid' must be an array of arrays")
     return n, grid
+
+
+def _write_json(path: str, doc) -> None:
+    """Write doc as indented JSON, atomically: readers see the old file or
+    the whole new one, and a failed write leaves no partial file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _load_digraph(path: str) -> Digraph:
@@ -111,6 +136,26 @@ def _parse_subset(spec: str, g: Digraph) -> frozenset[int]:
             members.add(v)
             i += 1
     return frozenset(members)
+
+
+def _is_square_orientation(g: Digraph, n: int) -> bool:
+    """True iff g is the n x n grid orientation 'orient' prints.
+
+    Each cell has exactly n - 1 valid out-neighbors (the cells later in
+    its row by Latin value, and earlier in its column), so n - 1 edges
+    that all obey the rule are the whole orientation.
+    """
+    for v, out in enumerate(g.succ):
+        if len(out) != n - 1:
+            return False
+        r, c = divmod(v, n)
+        t = latin_value(r, c, n)
+        for w in out:
+            r2, c2 = divmod(w, n)
+            t2 = latin_value(r2, c2, n)
+            if not ((r2 == r and t2 > t) or (c2 == c and t2 < t)):
+                return False
+    return True
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -160,10 +205,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except KernelOracleError as exc:
         print(f"internal solver failure: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    doc = {"n": inst.n, "grid": inst.label_grid(grid)}
-    with open(args.solution, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        _write_json(args.solution, {"n": inst.n, "grid": inst.label_grid(grid)})
+    except OSError as exc:
+        return _error(f"cannot write {args.solution}: {exc.strerror or exc}")
     return EXIT_OK
 
 
@@ -173,7 +218,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n, grid = _load_solution(args.solution)
         if n != inst.n or len(grid) != n or any(len(row) != n for row in grid):
             raise ValueError("solution dimensions do not match the instance")
-        report = verify_generalized_latin(inst, inst.intern_grid(grid))
+        try:
+            ids = inst.intern_grid(grid)
+        except TypeError:
+            raise ValueError(
+                f"{args.solution}: 'grid' has an array or object as a color label"
+            ) from None
+        report = verify_generalized_latin(inst, ids)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
     if report.valid:
@@ -221,7 +272,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             return _error(str(exc))
     else:
         n = math.isqrt(g.num_vertices)
-        if n * n != g.num_vertices or g != build_square_orientation(n):
+        if n * n != g.num_vertices or not _is_square_orientation(g, n):
             return _error("gs-square mode needs the graph emitted by 'orient'")
         found = square_kernel_oracle(n, subset)
     if found is None:

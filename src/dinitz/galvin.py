@@ -8,23 +8,24 @@ still want it.  Kernels of this orientation always exist and come from
 Gale-Shapley stable matchings: rows propose preferring larger Latin
 values, columns prefer smaller ones.
 
-The coloring loop is generic: it works on any digraph whose vertex
-lists are larger than their outdegrees, given any oracle that produces
-kernels of induced subgraphs.  ``find_kernel_bruteforce`` plugs in
-directly for small arbitrary digraphs; the grid solver uses the
-stable-matching oracle and never pays the exponential price.
+The grid solver never materialises the orientation: edge directions,
+kernel checks and the matching market are all row/column arithmetic on
+Latin values.  The generic coloring loop works on any digraph whose
+vertex lists are larger than their outdegrees, given any oracle that
+produces kernels of induced subgraphs; ``find_kernel_bruteforce`` plugs
+in directly for small arbitrary digraphs.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Sequence
 
 from .digraph import Digraph
-from .kernel import find_kernel_bruteforce, is_kernel
-from .matching import PreferenceProfile, deferred_acceptance
+from .kernel import is_kernel
 
 __all__ = [
     "latin_value",
@@ -32,7 +33,7 @@ __all__ = [
     "vertex_to_cell",
     "build_square_orientation",
     "square_kernel_oracle",
-    "bruteforce_oracle",
+    "is_square_kernel",
     "list_color_with_kernels",
     "solve_dinitz",
     "verify_generalized_latin",
@@ -120,6 +121,35 @@ def build_square_orientation(n: int) -> Digraph:
     return Digraph(n * n, tuple(succ))
 
 
+def _check_cells(n: int, s: Collection[int]) -> None:
+    """Raise ValueError unless every cell id in s lies in the n x n square."""
+    if s:
+        lo, hi = min(s), max(s)
+        if lo < 0 or hi >= n * n:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"vertex {bad} out of range for the {n}x{n} square")
+
+
+def _rows_by_value(n: int, s: Iterable[int]) -> dict[int, list[int]]:
+    """The cells of s grouped by row, each row in ascending Latin value.
+
+    Row r holds value r + c in columns c < n - r and wraps round to
+    r + c - n in the rest, so its ascending order is the row-major run
+    from column n - r on, then the run before it.
+    """
+    cells = sorted(frozenset(s))
+    _check_cells(n, cells)
+    rows: dict[int, list[int]] = {}
+    lo = 0
+    while lo < len(cells):
+        r = cells[lo] // n
+        hi = bisect_left(cells, (r + 1) * n, lo)
+        wrap = bisect_left(cells, (r + 1) * n - r, lo, hi)
+        rows[r] = cells[wrap:hi] + cells[lo:wrap]
+        lo = hi
+    return rows
+
+
 def square_kernel_oracle(n: int, s: Iterable[int]) -> frozenset[int]:
     """Kernel of a cell subset of the square orientation, via stable matching.
 
@@ -130,23 +160,56 @@ def square_kernel_oracle(n: int, s: Iterable[int]) -> frozenset[int]:
     this market is a kernel of the subgraph induced on ``s``: matched
     cells are independent (one per row and column), and stability hands
     every unmatched cell of ``s`` an out-edge into the matching.
+
+    Runs row-proposing deferred acceptance directly on Latin values:
+    within a row or a column each value names one cell, so a column
+    need only remember the value it holds.
     """
-    cells = []
-    for v in frozenset(s):
-        if not 0 <= v < n * n:
-            raise ValueError(f"vertex {v} out of range for the {n}x{n} square")
-        cells.append(divmod(v, n))
-    allowed = frozenset(cells)
-    row_rank = {(r, c): n - 1 - (r + c) % n for r, c in allowed}
-    col_rank = {(r, c): (r + c) % n for r, c in allowed}
-    profile = PreferenceProfile(n, n, allowed, row_rank, col_rank)
-    matched = deferred_acceptance(profile)
-    return frozenset(r * n + c for r, c in matched)
+    prefs = _rows_by_value(n, s)  # pop() yields a row's favourite left
+    held = [n] * n  # Latin value of the cell each column holds; n = none
+    for r, row in prefs.items():
+        while row:
+            c = row.pop() % n
+            t = (r + c) % n
+            h = held[c]
+            if t < h:
+                held[c] = t
+                if h == n:
+                    break
+                r = (h - c) % n  # the displaced row proposes next
+                row = prefs[r]
+    return frozenset(((t - c) % n) * n + c for c, t in enumerate(held) if t < n)
 
 
-def bruteforce_oracle(g: Digraph, s: frozenset[int]) -> frozenset[int] | None:
-    """Exhaustive kernel oracle for small arbitrary digraphs."""
-    return find_kernel_bruteforce(g, s)
+def is_square_kernel(n: int, s: Iterable[int], s_prime: Iterable[int]) -> bool:
+    """True iff s_prime is a kernel of the cells s in the square orientation.
+
+    Agrees with ``is_kernel(build_square_orientation(n), s, s_prime)``
+    without building the orientation, in O(n + |s|): s_prime must lie
+    inside s and hold at most one cell per row and per column, and
+    every other cell of s needs a chosen cell in its row with a larger
+    Latin value or one in its column with a smaller value.  Returns
+    False rather than raising when s_prime is not a subset of s.
+    """
+    s = frozenset(s)
+    s_prime = frozenset(s_prime)
+    _check_cells(n, s)
+    if not s_prime <= s:
+        return False
+    row_top = [-1] * n  # Latin value of the chosen cell per row; -1 = none
+    col_low = [n] * n  # Latin value of the chosen cell per column; n = none
+    for v in s_prime:
+        r, c = divmod(v, n)
+        if row_top[r] >= 0 or col_low[c] < n:
+            return False
+        row_top[r] = col_low[c] = (r + c) % n
+    # A chosen cell meets neither strict inequality, so it passes too.
+    for v in s:
+        r, c = divmod(v, n)
+        t = (r + c) % n
+        if row_top[r] < t < col_low[c]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -195,17 +258,12 @@ def list_color_with_kernels(
     for v in range(n):
         for col in current[v]:
             members_of.setdefault(col, set()).add(v)
-    color_heap = sorted(members_of)
     assigned: dict[int, int] = {}
-    while uncolored:
-        while color_heap and not members_of.get(color_heap[0]):
-            heapq.heappop(color_heap)
-        if not color_heap:
-            raise RuntimeError(
-                f"no colors left but {len(uncolored)} vertices uncolored; "
-                "this cannot happen when every oracle answer was a kernel"
-            )
-        color = heapq.heappop(color_heap)
+    for color in sorted(members_of):
+        if not uncolored:
+            break
+        if not members_of[color]:
+            continue
         candidates = frozenset(members_of.pop(color))
         chosen = oracle(g, candidates)
         if chosen is not None:
@@ -239,6 +297,11 @@ def list_color_with_kernels(
                         f"slack invariant violated at vertex {v} after color {color}: "
                         f"{len(current[v])} colors vs residual outdegree {residual_out}"
                     )
+    if uncolored:
+        raise RuntimeError(
+            f"no colors left but {len(uncolored)} vertices uncolored; "
+            "this cannot happen when every oracle answer was a kernel"
+        )
     return assigned
 
 
@@ -340,26 +403,97 @@ def solve_dinitz(
 ) -> list[list[int]]:
     """Pick one color id per cell so rows and columns stay all-distinct.
 
-    Requires every cell list to hold at least n colors.  Builds the
-    Latin-value orientation, runs the kernel coloring loop with the
-    stable-matching oracle, and returns the n x n grid of chosen color
-    ids.  The output always passes :func:`verify_generalized_latin`.
+    Requires every cell list to hold at least n colors.  Runs the kernel
+    coloring loop of :func:`list_color_with_kernels` on the Latin-value
+    orientation with :func:`square_kernel_oracle`, without building the
+    orientation: colors are visited once each, smallest id first, and
+    each goes to a kernel of the uncolored cells that list it, checked
+    by :func:`is_square_kernel`.  ``checked`` and ``trace`` behave as
+    there, and a bad oracle answer raises :class:`KernelOracleError`
+    with the same residual state.  Returns the n x n grid of chosen
+    color ids; it always passes :func:`verify_generalized_latin`.
     """
     n = inst.n
+    cells = [cell for row in inst.lists for cell in row]
+    buckets: defaultdict[int, list[int]] = defaultdict(list)  # color -> cells listing it
+    for v, cell in enumerate(cells):
+        if len(cell) < n:
+            raise UndersizedListError(*divmod(v, n), len(cell), n)
+        for color in cell:
+            buckets[color].append(v)
+    colored = bytearray(n * n)
+    flat = [0] * (n * n)
+    left = n * n
+    for color in sorted(buckets):
+        if not left:
+            break
+        candidates = frozenset([v for v in buckets[color] if not colored[v]])
+        if not candidates:
+            continue
+        chosen = square_kernel_oracle(n, candidates)
+        if chosen is not None:
+            chosen = frozenset(chosen)
+        if chosen is None or not is_square_kernel(n, candidates, chosen):
+            raise KernelOracleError(
+                color,
+                candidates,
+                chosen,
+                {
+                    v: frozenset(c for c in cells[v] if c >= color)
+                    for v in range(n * n)
+                    if not colored[v]
+                },
+            )
+        for v in chosen:
+            colored[v] = 1
+            flat[v] = color
+        left -= len(chosen)
+        if trace is not None:
+            trace.append(ColorPass(color, candidates, chosen))
+        if checked:
+            _check_square_slack(n, cells, colored, color)
+    if left:
+        raise RuntimeError(
+            f"no colors left but {left} cells uncolored; "
+            "this cannot happen when every oracle answer was a kernel"
+        )
+    return [flat[r * n : (r + 1) * n] for r in range(n)]
+
+
+def _check_square_slack(
+    n: int, cells: Sequence[AbstractSet[int]], colored: bytearray, color: int
+) -> None:
+    """Every uncolored cell keeps more colors above ``color`` than it has
+    uncolored out-neighbors."""
+    out = _residual_outdegrees(n, colored)
+    for v in range(n * n):
+        if colored[v]:
+            continue
+        remaining = sum(1 for c in cells[v] if c > color)
+        if remaining <= out[v]:
+            raise AssertionError(
+                f"slack invariant violated at vertex {v} after color {color}: "
+                f"{remaining} colors vs residual outdegree {out[v]}"
+            )
+
+
+def _residual_outdegrees(n: int, colored: bytearray) -> list[int]:
+    """Per uncolored cell, its uncolored out-neighbors in the square
+    orientation: cells later in its row by Latin value, or earlier in its
+    column.  Colored cells get 0."""
+    out = [0] * (n * n)
     for i in range(n):
-        for j in range(n):
-            if len(inst.lists[i][j]) < n:
-                raise UndersizedListError(i, j, len(inst.lists[i][j]), n)
-    g = build_square_orientation(n)
-    flat = [inst.lists[v // n][v % n] for v in range(n * n)]
-    coloring = list_color_with_kernels(
-        g,
-        flat,
-        lambda _g, s: square_kernel_oracle(n, s),
-        checked=checked,
-        trace=trace,
-    )
-    return [[coloring[r * n + c] for c in range(n)] for r in range(n)]
+        row_later = col_earlier = 0
+        for t in range(n):
+            row_v = i * n + (-1 - t - i) % n  # row i, Latin value n - 1 - t
+            col_v = ((t - i) % n) * n + i  # column i, Latin value t
+            if not colored[row_v]:
+                out[row_v] += row_later
+                row_later += 1
+            if not colored[col_v]:
+                out[col_v] += col_earlier
+                col_earlier += 1
+    return out
 
 
 def verify_generalized_latin(

@@ -1,9 +1,16 @@
 import json
+from itertools import product
 
 import pytest
 
-from dinitz import build_square_orientation, format_digraph, is_kernel, parse_digraph
-from dinitz.cli import main
+from dinitz import (
+    build_square_orientation,
+    format_digraph,
+    is_kernel,
+    make_digraph,
+    parse_digraph,
+)
+from dinitz.cli import _is_square_orientation, main
 
 
 def run(capsys, *argv):
@@ -133,6 +140,45 @@ class TestSolveAndVerify:
         assert code == 0
         assert "duplicate" in err
 
+    def test_nested_array_label_is_exit_2(self, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[[[1]]]]}, "i.json")
+        code, _, err = run(capsys, "solve", inst, str(tmp_path / "s.json"))
+        assert code == 2
+        assert "(0, 0)" in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_solution_in_missing_directory_is_exit_2(self, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["x"]]]}, "i.json")
+        code, _, err = run(capsys, "solve", inst, str(tmp_path / "nope" / "s.json"))
+        assert code == 2
+        assert "cannot write" in err
+
+    def test_unwritable_solution_leaves_no_temp_file(self, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["x"]]]}, "i.json")
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run(capsys, "solve", inst, str(target))
+        assert code == 2
+        assert "cannot write" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json", "taken"]
+        assert list(target.iterdir()) == []
+
+    def test_solution_overwrites_existing_file(self, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["x"]]]}, "i.json")
+        sol = tmp_path / "s.json"
+        sol.write_text("stale and much longer than the solution " * 10)
+        assert run(capsys, "solve", inst, str(sol))[0] == 0
+        assert sol.read_text() == '{\n  "n": 1,\n  "grid": [\n    [\n      "x"\n    ]\n  ]\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json", "s.json"]
+
+    def test_verify_nested_array_grid_entry_is_exit_2(self, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "i.json")
+        sol = write_json(tmp_path, {"n": 1, "grid": [[["a"]]]}, "s.json")
+        code, out, err = run(capsys, "verify", inst, sol)
+        assert code == 2
+        assert out == ""
+        assert "grid" in err
+
     def test_verify_row_repeat(self, tmp_path, capsys):
         instance = {"n": 2, "lists": [[["a", "b"], ["a", "b"]],
                                       [["a", "b"], ["a", "b"]]]}
@@ -234,6 +280,47 @@ class TestKernel:
                            "--mode", "gs-square")
         assert code == 2
         assert "orient" in err
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 3), (3, 2), (0, 2)],  # one edge reversed
+            [(0, 1), (1, 3), (3, 2)],  # one edge missing
+            [(0, 1), (1, 3), (3, 2), (2, 0), (0, 3)],  # one diagonal too many
+            [(1, 0), (3, 1), (2, 3), (0, 2)],  # every edge reversed
+        ],
+    )
+    def test_gs_square_rejects_square_sized_impostors(self, edges, tmp_path, capsys):
+        path = write_graph(tmp_path, make_digraph(4, edges))
+        code, _, err = run(capsys, "kernel", path, "0,1", "--mode", "gs-square")
+        assert code == 2
+        assert "orient" in err
+
+    def test_gs_square_guard_matches_graph_equality_n2(self):
+        # every orientation of every simple graph on the 4 cells of n = 2
+        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        square = build_square_orientation(2)
+        for picks in product((None, False, True), repeat=len(pairs)):
+            edges = [(u, v) if fwd else (v, u)
+                     for (u, v), fwd in zip(pairs, picks) if fwd is not None]
+            g = make_digraph(4, edges)
+            assert _is_square_orientation(g, 2) == (g == square), edges
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    def test_gs_square_guard_matches_graph_equality_perturbed(self, n):
+        square = build_square_orientation(n)
+        assert _is_square_orientation(square, n)
+        edges = sorted(square.edges)
+        for i, (u, v) in enumerate(edges):
+            rest = edges[:i] + edges[i + 1:]
+            for g in (make_digraph(n * n, rest), make_digraph(n * n, rest + [(v, u)])):
+                assert not _is_square_orientation(g, n)
+        for u in range(n * n):
+            for v in range(n * n):
+                if u != v and v not in square.succ[u] and u not in square.succ[v]:
+                    assert not _is_square_orientation(
+                        make_digraph(n * n, edges + [(u, v)]), n
+                    )
 
     def test_malformed_subset(self, tmp_path, capsys):
         assert run(capsys, "kernel", triangle_file(tmp_path), "0,x")[0] == 2

@@ -13,9 +13,11 @@ from dinitz import (
     build_square_orientation,
     cell_to_vertex,
     check_condition_y,
+    deferred_acceptance,
     enumerate_stable_matchings,
     find_kernel_bruteforce,
     is_kernel,
+    is_square_kernel,
     latin_value,
     list_color_with_kernels,
     make_digraph,
@@ -26,6 +28,7 @@ from dinitz import (
     verify_list_coloring,
     vertex_to_cell,
 )
+from dinitz import galvin
 from dinitz.matching import PreferenceProfile
 
 
@@ -35,6 +38,59 @@ def square_profile(n, cells):
     row_rank = {(r, c): n - 1 - (r + c) % n for r, c in allowed}
     col_rank = {(r, c): (r + c) % n for r, c in allowed}
     return PreferenceProfile(n, n, allowed, row_rank, col_rank)
+
+
+def profile_oracle(n, s):
+    """The stable-matching oracle built on a validated PreferenceProfile
+    and the generic deferred_acceptance: the reference for the direct one."""
+    matched = deferred_acceptance(square_profile(n, [divmod(v, n) for v in s]))
+    return frozenset(r * n + c for r, c in matched)
+
+
+def kernel_variants(n, s):
+    """The oracle's kernel of s, and every set one cell of s away from it."""
+    k = square_kernel_oracle(n, s)
+    return [k] + [k ^ {v} for v in sorted(s)]
+
+
+def generic_solve(inst, oracle, **kwargs):
+    """solve_dinitz's reference: the generic coloring loop on the
+    materialised orientation, asking ``oracle(n, candidates)``."""
+    n = inst.n
+    flat = [inst.lists[v // n][v % n] for v in range(n * n)]
+    coloring = list_color_with_kernels(
+        build_square_orientation(n), flat, lambda _g, s: oracle(n, s), **kwargs
+    )
+    return [[coloring[r * n + c] for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def square_kernel_cases(draw, max_n=8):
+    """(n, s, k): a cell subset and a candidate kernel that is the oracle's
+    answer, one cell away from it, or an arbitrary subset of s."""
+    n = draw(st.integers(1, max_n))
+    s = frozenset(draw(st.sets(st.integers(0, n * n - 1))))
+    k = square_kernel_oracle(n, s)
+    how = draw(st.sampled_from(["oracle", "flip", "any"]))
+    if s and how == "flip":
+        k = k ^ {draw(st.sampled_from(sorted(s)))}
+    elif s and how == "any":
+        k = frozenset(draw(st.sets(st.sampled_from(sorted(s)))))
+    return n, s, k
+
+
+@st.composite
+def square_instances(draw, max_n=6):
+    """Interned instances over small universes, lists of n or a few more."""
+    n = draw(st.integers(0, max_n))
+    universe = draw(st.integers(max(n, 1), 2 * n + 2))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [
+        [rng.sample(range(universe), rng.randint(n, min(universe, n + 2)))
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    return DinitzInstance.from_labels(rows)
 
 
 class TestLatinValue:
@@ -201,6 +257,17 @@ class TestSquareKernelOracle:
             assert is_kernel(g, s, result)
             assert find_kernel_bruteforce(g, s) is not None
 
+    def test_equals_profile_deferred_acceptance_on_every_subset_n4(self):
+        for mask in range(1 << 16):
+            s = frozenset(v for v in range(16) if mask >> v & 1)
+            assert square_kernel_oracle(4, s) == profile_oracle(4, s)
+
+    @given(square_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_profile_deferred_acceptance_random(self, case):
+        n, s, _ = case
+        assert square_kernel_oracle(n, s) == profile_oracle(n, s)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_kernels_equal_stable_matchings(self, n):
         # both directions of the equivalence, on every subset (n=3 runs in
@@ -223,6 +290,29 @@ class TestSquareKernelOracle:
                 )
             }
             assert kernels == matchings
+
+
+class TestIsSquareKernel:
+    def test_agrees_with_is_kernel_on_every_subset_n4(self):
+        g = build_square_orientation(4)
+        for mask in range(1 << 16):
+            s = frozenset(v for v in range(16) if mask >> v & 1)
+            for k in kernel_variants(4, s):
+                assert is_square_kernel(4, s, k) == is_kernel(g, s, k), (s, k)
+
+    @given(square_kernel_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_is_kernel_random(self, case):
+        n, s, k = case
+        assert is_square_kernel(n, s, k) == is_kernel(build_square_orientation(n), s, k)
+
+    def test_cells_outside_the_subset_are_no_kernel(self):
+        assert is_square_kernel(2, {0, 1}, {1})
+        assert not is_square_kernel(2, {0, 1}, {1, 2})
+
+    def test_out_of_range_cell(self):
+        with pytest.raises(ValueError):
+            is_square_kernel(2, {4}, set())
 
 
 class TestListColorWithKernels:
@@ -382,6 +472,70 @@ class TestSolveDinitz:
         inst = DinitzInstance.from_labels(rows)
         grid = solve_dinitz(inst, checked=True)
         assert verify_generalized_latin(inst, grid).valid
+
+    @given(square_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_generic_loop_with_profile_oracle(self, inst):
+        trace, ref_trace = [], []
+        grid = solve_dinitz(inst, checked=True, trace=trace)
+        assert grid == generic_solve(inst, profile_oracle, checked=True, trace=ref_trace)
+        assert trace == ref_trace
+
+    def test_never_builds_the_orientation(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("solve_dinitz built the orientation")
+
+        monkeypatch.setattr(galvin, "build_square_orientation", refuse)
+        inst = DinitzInstance.from_labels([[[0, 1, 2]] * 3] * 3)
+        assert verify_generalized_latin(inst, solve_dinitz(inst)).valid
+
+    @pytest.mark.parametrize(
+        "lie",
+        [
+            lambda k, s: None,
+            lambda k, s: frozenset(),
+            lambda k, s: frozenset(s),  # not independent
+            lambda k, s: k | {99},  # not a candidate
+            lambda k, s: k - {min(k)},  # leaves a candidate undominated
+        ],
+        ids=["none", "empty", "everyone", "outsider", "short"],
+    )
+    def test_bad_oracle_answer_reports_generic_state(self, monkeypatch, lie):
+        inst = DinitzInstance.from_labels([[[0, 1, 2, 3]] * 3] * 3)
+        honest = galvin.square_kernel_oracle
+
+        def oracle(n, s):  # honest on the first pass over all cells only
+            k = honest(n, s)
+            return k if len(s) == n * n else lie(k, s)
+
+        with pytest.raises(KernelOracleError) as ref:
+            generic_solve(inst, oracle)
+        monkeypatch.setattr(galvin, "square_kernel_oracle", oracle)
+        with pytest.raises(KernelOracleError) as got:
+            solve_dinitz(inst)
+        assert ref.value.color == 1
+        for attr in ("color", "candidates", "returned", "residual_lists"):
+            assert getattr(got.value, attr) == getattr(ref.value, attr), attr
+
+
+class TestSquareSlack:
+    @given(st.integers(0, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_residual_outdegrees_count_uncolored_successors(self, n, rng):
+        g = build_square_orientation(n)
+        colored = bytearray(rng.random() < 0.4 for _ in range(n * n))
+        expected = [
+            0 if colored[v] else sum(1 for w in g.succ[v] if not colored[w])
+            for v in range(n * n)
+        ]
+        assert galvin._residual_outdegrees(n, colored) == expected
+
+    def test_violation_names_the_cell(self):
+        # Every cell of n = 2 has outdegree 1 but only color 1 above color 0.
+        cells = [frozenset({0, 1})] * 4
+        with pytest.raises(AssertionError, match="vertex 0 after color 0"):
+            galvin._check_square_slack(2, cells, bytearray(4), 0)
+        galvin._check_square_slack(2, cells, bytearray([0, 1, 1, 0]), 0)
 
 
 class TestVerifyGeneralizedLatin:
