@@ -40,7 +40,6 @@ from .matching import (
 )
 from .galvin import (
     ColorPass,
-    ConditionYReport,
     DinitzInstance,
     KernelOracle,
     KernelOracleError,
@@ -48,7 +47,6 @@ from .galvin import (
     UndersizedListError,
     build_square_orientation,
     cell_to_vertex,
-    check_condition_y,
     is_square_kernel,
     latin_value,
     list_color_with_kernels,
@@ -64,7 +62,6 @@ __all__ = [
     "BidirectionalEdgeError",
     "ColorPass",
     "ColoringReport",
-    "ConditionYReport",
     "Digraph",
     "DinitzInstance",
     "GraphError",
@@ -80,7 +77,6 @@ __all__ = [
     "VertexRangeError",
     "build_square_orientation",
     "cell_to_vertex",
-    "check_condition_y",
     "deferred_acceptance",
     "enumerate_stable_matchings",
     "find_kernel_bruteforce",

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from .digraph import Digraph, parse_digraph, format_digraph
+from .digraph import MAX_VERTICES, Digraph, format_digraph, parse_digraph
 from .galvin import (
     DinitzInstance,
     KernelOracleError,
@@ -52,21 +52,23 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
-    data = _read_json(path)
-    if not isinstance(data, dict) or "n" not in data or "lists" not in data:
-        raise ValueError(f"{path}: instance JSON needs fields 'n' and 'lists'")
-    n, lists = data["n"], data["lists"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"{path}: 'n' must be a non-negative integer")
-    if not isinstance(lists, list) or len(lists) != n:
-        raise ValueError(f"{path}: 'lists' must be an array of {n} rows")
+def _check_lists(
+    path: str, n: int, lists: list, args: argparse.Namespace | None = None
+) -> None:
+    """Raise ValueError at the first row or cell, in row-major order, that
+    is not an array of the right size.  Given ``args``, a cell with an
+    array or object as a label counts too, and duplicate labels in the
+    cells before the fault are warned about: the whole per-cell check,
+    which _load_instance runs only once the quick one or interning failed.
+    """
     for i, row in enumerate(lists):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"{path}: row {i} must be an array of {n} cells")
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or not cell:
                 raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
+            if args is None:
+                continue
             try:
                 distinct = len(set(cell))
             except TypeError:
@@ -75,7 +77,34 @@ def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
                 ) from None
             if distinct != len(cell):
                 _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
-    return DinitzInstance.from_labels(lists)
+
+
+def _check_n(path: str, n) -> None:
+    if type(n) is not int or n < 0:  # JSON true is a Python int
+        raise ValueError(f"{path}: 'n' must be a non-negative integer")
+
+
+def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
+    data = _read_json(path)
+    if not isinstance(data, dict) or "n" not in data or "lists" not in data:
+        raise ValueError(f"{path}: instance JSON needs fields 'n' and 'lists'")
+    n, lists = data["n"], data["lists"]
+    _check_n(path, n)
+    if not isinstance(lists, list) or len(lists) != n:
+        raise ValueError(f"{path}: 'lists' must be an array of {n} rows")
+    try:
+        _check_lists(path, n, lists)
+        inst = DinitzInstance.from_labels(lists)
+    except (TypeError, ValueError):
+        # An unhashable label (TypeError from interning) may sit before
+        # the first shape fault: report whichever comes first.
+        _check_lists(path, n, lists, args)
+        raise
+    for i, (row, interned) in enumerate(zip(lists, inst.lists)):
+        for j, (cell, ids) in enumerate(zip(row, interned)):
+            if len(ids) != len(cell):
+                _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+    return inst
 
 
 def _load_solution(path: str) -> tuple[int, list]:
@@ -83,8 +112,7 @@ def _load_solution(path: str) -> tuple[int, list]:
     if not isinstance(data, dict) or "n" not in data or "grid" not in data:
         raise ValueError(f"{path}: solution JSON needs fields 'n' and 'grid'")
     n, grid = data["n"], data["grid"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"{path}: 'n' must be a non-negative integer")
+    _check_n(path, n)
     if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
         raise ValueError(f"{path}: 'grid' must be an array of arrays")
     return n, grid
@@ -106,9 +134,9 @@ def _write_json(path: str, doc) -> None:
         raise
 
 
-def _load_digraph(path: str) -> Digraph:
+def _load_digraph(path: str, max_vertices: int = MAX_VERTICES) -> Digraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_digraph(fh.read())
+        return parse_digraph(fh.read(), max_vertices)
 
 
 def _parse_subset(spec: str, g: Digraph) -> frozenset[int]:
@@ -248,7 +276,7 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 def cmd_propx(args: argparse.Namespace) -> int:
     try:
-        g = _load_digraph(args.graph)
+        g = _load_digraph(args.graph, min(args.max_vertices, MAX_VERTICES))
         report = has_property_x(g, cap=args.max_vertices)
     except (OSError, ValueError) as exc:
         return _error(str(exc))

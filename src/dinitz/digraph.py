@@ -13,6 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
+# parse_digraph refuses headers above this many vertices by default:
+# make_digraph allocates a set and then a frozenset per vertex, about
+# 450 B at peak, before it reads an edge.  'orient 512' prints this many.
+MAX_VERTICES = 1 << 18
+
 
 class GraphError(ValueError):
     """Invalid graph construction or query input."""
@@ -188,21 +193,31 @@ def verify_list_coloring(
     return ColoringReport(True)
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse the plain-text digraph format: "n m" then m lines "u v"."""
+def _ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"digraph text contains a non-integer token: {exc}") from None
+
+
+def parse_digraph(text: str, max_vertices: int = MAX_VERTICES) -> Digraph:
+    """Parse the plain-text digraph format: "n m" then m lines "u v".
+
+    A header of more than ``max_vertices`` vertices is refused before
+    the edges are read.
+    """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("digraph text needs a header line 'n m'")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"digraph text contains a non-integer token: {exc}") from None
-    n, m = values[0], values[1]
-    if len(values) != 2 + 2 * m:
+    n, m = _ints(tokens[:2])
+    if n > max_vertices:
         raise ValueError(
-            f"header declares {m} edges but {len(values) - 2} ints follow"
+            f"header declares {n} vertices, above the limit of {max_vertices}"
         )
-    pairs = [(values[i], values[i + 1]) for i in range(2, len(values), 2)]
+    values = _ints(tokens[2:])
+    if len(values) != 2 * m:
+        raise ValueError(f"header declares {m} edges but {len(values)} ints follow")
+    pairs = [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
     return make_digraph(n, pairs)
 
 

@@ -19,9 +19,10 @@ in directly for small arbitrary digraphs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import contains
 from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Sequence
 
 from .digraph import Digraph
@@ -37,14 +38,12 @@ __all__ = [
     "list_color_with_kernels",
     "solve_dinitz",
     "verify_generalized_latin",
-    "check_condition_y",
     "DinitzInstance",
     "ColorPass",
     "KernelOracle",
     "KernelOracleError",
     "UndersizedListError",
     "LatinReport",
-    "ConditionYReport",
 ]
 
 KernelOracle = Callable[[Digraph, frozenset[int]], "frozenset[int] | None"]
@@ -312,7 +311,8 @@ class DinitzInstance:
     ``lists[r][c]`` is the frozenset of interned color ids available at
     cell (r, c); ``labels[i]`` recovers the original label of color i.
     Interning follows first appearance in row-major order, which also
-    fixes the color order the solver processes.
+    fixes the color order the solver processes.  An instance built
+    directly rather than by :meth:`from_labels` may use any int ids.
     """
 
     n: int
@@ -331,22 +331,28 @@ class DinitzInstance:
         are rejected.
         """
         n = len(rows)
-        table: dict[Hashable, int] = {}
-        interned: list[tuple[frozenset[int], ...]] = []
+        cells: list[Sequence[Hashable]] = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
-            interned_row = []
             for j, cell in enumerate(row):
-                labs = sorted(cell) if isinstance(cell, (set, frozenset)) else list(cell)
-                if not labs:
+                if isinstance(cell, (set, frozenset)):
+                    cell = sorted(cell)
+                elif not isinstance(cell, (list, tuple)):
+                    cell = list(cell)
+                if not cell:
                     raise ValueError(f"cell ({i}, {j}) has an empty color list")
-                for lab in labs:
-                    table.setdefault(lab, len(table))
-                interned_row.append(frozenset(table[lab] for lab in labs))
-            interned.append(tuple(interned_row))
-        labels = tuple(sorted(table, key=table.__getitem__))
-        return cls(n, tuple(interned), labels)
+                cells.append(cell)
+        labels = tuple(dict.fromkeys(chain.from_iterable(cells)))  # first appearance
+        ids = list(range(len(labels)))
+        get = dict(zip(labels, ids)).__getitem__
+        # frozenset(map(...)) grows its table one insert at a time and ends
+        # twice as large; copying a set sizes the frozenset for its cell.
+        flat = [frozenset(set(map(get, cell))) for cell in cells]
+        lists = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
+        inst = cls(n, lists, labels)
+        inst.__dict__["_colors"] = ids  # each id is in some cell
+        return inst
 
     def intern_grid(self, rows: Sequence[Sequence[Hashable]]) -> list[list[int]]:
         """Map a grid of labels to color ids; unknown labels get fresh
@@ -372,6 +378,13 @@ class DinitzInstance:
     def _table(self) -> dict[Hashable, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def _colors(self) -> list[int]:
+        """The color ids the lists use, ascending, as the int objects the
+        cell sets hold: a grid of them passes membership tests on
+        identity.  :meth:`from_labels` sets it without a scan."""
+        return sorted(set().union(*chain.from_iterable(self.lists)))
+
 
 @dataclass(frozen=True)
 class LatinReport:
@@ -385,14 +398,6 @@ class LatinReport:
     reason: str = ""
     row: int | None = None
     col: int | None = None
-
-
-@dataclass(frozen=True)
-class ConditionYReport:
-    """Whether every vertex's list strictly exceeds its outdegree."""
-
-    valid: bool
-    witness: int | None = None
 
 
 def solve_dinitz(
@@ -415,7 +420,15 @@ def solve_dinitz(
     """
     n = inst.n
     cells = [cell for row in inst.lists for cell in row]
-    buckets: defaultdict[int, list[int]] = defaultdict(list)  # color -> cells listing it
+    colors = inst._colors
+    # buckets[color]: the cells listing it, ascending.  Ids 0..k-1, as
+    # from_labels numbers them, index a list, cheaper per entry than a
+    # dict; a directly built instance may use any ids, which key a dict.
+    buckets: list[list[int]] | dict[int, list[int]]
+    if colors == list(range(len(colors))):
+        buckets = [[] for _ in colors]
+    else:
+        buckets = {color: [] for color in colors}
     for v, cell in enumerate(cells):
         if len(cell) < n:
             raise UndersizedListError(*divmod(v, n), len(cell), n)
@@ -424,7 +437,7 @@ def solve_dinitz(
     colored = bytearray(n * n)
     flat = [0] * (n * n)
     left = n * n
-    for color in sorted(buckets):
+    for color in colors:
         if not left:
             break
         candidates = frozenset([v for v in buckets[color] if not colored[v]])
@@ -511,21 +524,11 @@ def verify_generalized_latin(
     for i in range(n):
         if len(set(grid[i])) != n:
             return LatinReport(False, "row-repeat", row=i)
-    for j in range(n):
-        if len({grid[i][j] for i in range(n)}) != n:
+    for j, column in enumerate(zip(*grid)):
+        if len(set(column)) != n:
             return LatinReport(False, "column-repeat", col=j)
-    for i in range(n):
-        for j in range(n):
-            if grid[i][j] not in inst.lists[i][j]:
-                return LatinReport(False, "not-in-list", row=i, col=j)
+    for i, (row, cells) in enumerate(zip(grid, inst.lists)):
+        if not all(map(contains, cells, row)):
+            j = next(j for j, color in enumerate(row) if color not in cells[j])
+            return LatinReport(False, "not-in-list", row=i, col=j)
     return LatinReport(True)
-
-
-def check_condition_y(g: Digraph, lists: Sequence[AbstractSet[int]]) -> ConditionYReport:
-    """Report the first vertex whose list is not larger than its outdegree."""
-    if len(lists) != g.num_vertices:
-        raise ValueError(f"expected {g.num_vertices} color lists, got {len(lists)}")
-    for v in range(g.num_vertices):
-        if len(lists[v]) <= len(g.succ[v]):
-            return ConditionYReport(False, v)
-    return ConditionYReport(True)

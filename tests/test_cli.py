@@ -11,6 +11,7 @@ from dinitz import (
     parse_digraph,
 )
 from dinitz.cli import _is_square_orientation, main
+from dinitz.digraph import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -147,6 +148,74 @@ class TestSolveAndVerify:
         assert "(0, 0)" in err
         assert not (tmp_path / "s.json").exists()
 
+    def test_duplicate_warnings_in_row_major_order(self, tmp_path, capsys):
+        lists = [[["a", "b"], ["b", "b", "a"]], [[1, True, 1.0, 2], ["a", "b"]]]
+        inst = write_json(tmp_path, {"n": 2, "lists": lists}, "i.json")
+        code, _, err = run(capsys, "solve", inst, str(tmp_path / "s.json"))
+        assert code == 0
+        assert err == (
+            f"warning: {inst}: cell (0, 1) has duplicate colors; deduplicated\n"
+            f"warning: {inst}: cell (1, 0) has duplicate colors; deduplicated\n"
+        )
+
+    def test_unhashable_label_names_the_first_such_cell(self, tmp_path, capsys):
+        lists = [[["a", "b"], ["a", {"x": 1}]], [["a", [1]], ["a", "b"]]]
+        inst = write_json(tmp_path, {"n": 2, "lists": lists}, "i.json")
+        code, _, err = run(capsys, "solve", inst, str(tmp_path / "s.json"))
+        assert code == 2
+        assert err == (
+            f"error: {inst}: cell (0, 1) has an array or object as a color label\n"
+        )
+
+    @pytest.mark.parametrize(
+        "lists, warned, reported",
+        [
+            # an unhashable label before a short row
+            ([[["a", "a"], ["b", [1]]], [["a"]]],
+             ["(0, 0)"], "cell (0, 1) has an array or object"),
+            # an empty cell before an unhashable label
+            ([[[], ["b", [1]]], [["a"], ["b"]]],
+             [], "cell (0, 0) must be a non-empty array"),
+            # a short row before an unhashable label in it
+            ([[["a", [1]]], [["a"], ["b"]]],
+             [], "row 0 must be an array of 2 cells"),
+            # an unhashable label before a cell that is not an array
+            ([[["b", "b"], [[1]]], ["a", ["b"]]],
+             ["(0, 0)"], "cell (0, 1) has an array or object"),
+            # a duplicate before a short row
+            ([[["a"], ["b", "b"]], [["a"]]],
+             ["(0, 1)"], "row 1 must be an array of 2 cells"),
+        ],
+        ids=["unhashable-then-row", "empty-then-unhashable", "row-then-unhashable",
+             "unhashable-then-cell", "duplicate-then-row"],
+    )
+    def test_first_fault_in_row_major_order_wins(
+        self, lists, warned, reported, tmp_path, capsys
+    ):
+        inst = write_json(tmp_path, {"n": 2, "lists": lists}, "i.json")
+        code, _, err = run(capsys, "solve", inst, str(tmp_path / "s.json"))
+        assert code == 2
+        *warnings, error = err.splitlines()
+        assert warnings == [
+            f"warning: {inst}: cell {cell} has duplicate colors; deduplicated"
+            for cell in warned
+        ]
+        assert error.startswith(f"error: {inst}: {reported}")
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_boolean_n_is_exit_2(self, command, tmp_path, capsys):
+        good = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "good.json")
+        inst = write_json(tmp_path, {"n": True, "lists": [[["a"]]]}, "i.json")
+        sol = write_json(tmp_path, {"n": True, "grid": [["a"]]}, "s.json")
+        if command == "solve":
+            code, _, err = run(capsys, "solve", inst, str(tmp_path / "out.json"))
+            assert not (tmp_path / "out.json").exists()
+        else:
+            code, _, err = run(capsys, "verify", good, sol)
+        bad = inst if command == "solve" else sol
+        assert code == 2
+        assert err == f"error: {bad}: 'n' must be a non-negative integer\n"
+
     def test_solution_in_missing_directory_is_exit_2(self, tmp_path, capsys):
         inst = write_json(tmp_path, {"n": 1, "lists": [[["x"]]]}, "i.json")
         code, _, err = run(capsys, "solve", inst, str(tmp_path / "nope" / "s.json"))
@@ -248,6 +317,31 @@ class TestPropx:
         bad = tmp_path / "bad.txt"
         bad.write_text("totally not a graph")
         assert run(capsys, "propx", str(bad))[0] == 2
+
+    def test_cap_is_checked_before_the_edges(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dinitz.digraph.make_digraph", refuse_to_build)
+        path = tmp_path / "big.txt"
+        path.write_text("21 1\n0 x\n")  # a bad edge the cap must preempt
+        code, _, err = run(capsys, "propx", str(path), "--max-vertices", "20")
+        assert code == 2
+        assert err == "error: header declares 21 vertices, above the limit of 20\n"
+
+    @pytest.mark.parametrize(
+        "command", [["propx", "--max-vertices", str(1 << 30)], ["kernel", "0"]]
+    )
+    def test_header_above_the_vertex_cap_is_exit_2(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dinitz.digraph.make_digraph", refuse_to_build)
+        path = tmp_path / "big.txt"
+        path.write_text(f"{MAX_VERTICES + 1} 0\n")
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert f"header declares {MAX_VERTICES + 1} vertices" in err
+
+
+def refuse_to_build(num_vertices, edges):
+    raise AssertionError("make_digraph was called")
 
 
 class TestKernel:

@@ -15,6 +15,7 @@ from dinitz import (
     verify_list_coloring,
 )
 
+from dinitz.digraph import MAX_VERTICES
 from strategies import digraphs, digraphs_with_subsets
 
 
@@ -191,6 +192,29 @@ class TestTextFormat:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             parse_digraph("2 one\n")
+
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            (f"{MAX_VERTICES + 1} 0\n", ()),  # the default limit
+            ("4 1\n0 x\n", (3,)),  # a bad edge the limit must preempt
+            ("4 0\n", (3,)),
+        ],
+    )
+    def test_header_above_the_limit_rejected_before_building(
+        self, text, args, monkeypatch
+    ):
+        def refuse(num_vertices, edges):
+            raise AssertionError("make_digraph was called")
+
+        monkeypatch.setattr("dinitz.digraph.make_digraph", refuse)
+        limit = args[0] if args else MAX_VERTICES
+        message = rf"declares {limit + 1} vertices, above the limit of {limit}$"
+        with pytest.raises(ValueError, match=message):
+            parse_digraph(text, *args)
+
+    def test_header_at_the_limit_accepted(self):
+        assert parse_digraph("3 1\n0 2\n", 3).edges == {(0, 2)}
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(BidirectionalEdgeError):

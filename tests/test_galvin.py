@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import chain, combinations
 
 import pytest
@@ -9,10 +10,10 @@ from dinitz import (
     ColorPass,
     DinitzInstance,
     KernelOracleError,
+    LatinReport,
     UndersizedListError,
     build_square_orientation,
     cell_to_vertex,
-    check_condition_y,
     deferred_acceptance,
     enumerate_stable_matchings,
     find_kernel_bruteforce,
@@ -91,6 +92,81 @@ def square_instances(draw, max_n=6):
         for _ in range(n)
     ]
     return DinitzInstance.from_labels(rows)
+
+
+def reference_from_labels(rows):
+    """from_labels as one Python step per label: the reference the
+    C-level passes must match id for id."""
+    n = len(rows)
+    table = {}
+    interned = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+        interned_row = []
+        for j, cell in enumerate(row):
+            labs = sorted(cell) if isinstance(cell, (set, frozenset)) else list(cell)
+            if not labs:
+                raise ValueError(f"cell ({i}, {j}) has an empty color list")
+            for lab in labs:
+                table.setdefault(lab, len(table))
+            interned_row.append(frozenset(table[lab] for lab in labs))
+        interned.append(tuple(interned_row))
+    labels = tuple(sorted(table, key=table.__getitem__))
+    return DinitzInstance(n, tuple(interned), labels)
+
+
+# 1, True and 1.0 are one label to Python; whichever comes first names it.
+LABELS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["a", "b", "c1", ""]),
+    st.sampled_from([True, 1.0]),
+)
+
+
+@st.composite
+def label_rows(draw, max_n=4):
+    """(n x n cells as plain data, cell kinds): labels may repeat within a
+    cell.  Set cells hold one type only, so that sorting them works."""
+    n = draw(st.integers(0, max_n))
+    cells, kinds = [], []
+    for _ in range(n * n):
+        kind = draw(st.sampled_from(["list", "tuple", "generator", "set", "frozenset"]))
+        if kind in ("set", "frozenset"):
+            labs = draw(st.one_of(
+                st.lists(st.integers(0, 12), min_size=1, max_size=5),
+                st.lists(st.sampled_from("abcd"), min_size=1, max_size=5),
+            ))
+        else:
+            labs = draw(st.lists(LABELS, min_size=1, max_size=5))
+        cells.append(labs)
+        kinds.append(kind)
+    return n, cells, kinds
+
+
+def build_rows(n, cells, kinds):
+    """Fresh row objects for from_labels; generator cells are used up."""
+    make = {"list": list, "tuple": tuple, "generator": lambda c: (x for x in c),
+            "set": set, "frozenset": frozenset}
+    flat = [make[k](c) for c, k in zip(cells, kinds)]
+    return [flat[r * n : (r + 1) * n] for r in range(n)]
+
+
+def reference_verify(inst, grid):
+    """verify_generalized_latin as one Python step per cell: the
+    reference for its C-level passes."""
+    n = inst.n
+    for i in range(n):
+        if len(set(grid[i])) != n:
+            return LatinReport(False, "row-repeat", row=i)
+    for j in range(n):
+        if len({grid[i][j] for i in range(n)}) != n:
+            return LatinReport(False, "column-repeat", col=j)
+    for i in range(n):
+        for j in range(n):
+            if grid[i][j] not in inst.lists[i][j]:
+                return LatinReport(False, "not-in-list", row=i, col=j)
+    return LatinReport(True)
 
 
 class TestLatinValue:
@@ -420,6 +496,26 @@ class TestDinitzInstance:
         inst = DinitzInstance.from_labels([[["x", "y"], ["x", "y"]]] * 2)
         assert inst.label_grid([[0, 1], [1, 0]]) == [["x", "y"], ["y", "x"]]
 
+    @given(label_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, case):
+        got = DinitzInstance.from_labels(build_rows(*case))
+        want = reference_from_labels(build_rows(*case))
+        assert got == want
+        assert list(map(type, got.labels)) == list(map(type, want.labels))
+
+    def test_one_true_and_one_point_zero_collapse_into_the_first(self):
+        inst = DinitzInstance.from_labels([[[True, 1, 1.0, 2], (1.0, 2, True)]] * 2)
+        assert inst.labels == (True, 2)
+        assert type(inst.labels[0]) is bool
+        assert inst.lists[0][0] == inst.lists[1][1] == {0, 1}
+
+    @pytest.mark.parametrize("k", [1, 5, 100, 300])
+    def test_cell_sets_are_sized_for_their_cell(self, k):
+        inst = DinitzInstance.from_labels([[[f"c{i}" for i in range(k)]]])
+        presized = frozenset(dict.fromkeys(range(k)))
+        assert sys.getsizeof(inst.lists[0][0]) <= sys.getsizeof(presized)
+
     def test_intern_grid_unknown_labels_stay_distinct(self):
         inst = DinitzInstance.from_labels([[["a", "b"], ["a", "b"]]] * 2)
         grid = inst.intern_grid([["a", "zz"], ["zz", "ww"]])
@@ -480,6 +576,17 @@ class TestSolveDinitz:
         grid = solve_dinitz(inst, checked=True, trace=trace)
         assert grid == generic_solve(inst, profile_oracle, checked=True, trace=ref_trace)
         assert trace == ref_trace
+
+    @pytest.mark.parametrize("ids", [(3, 7, 40), (-5, 0, 2), (10**12, 1, -1), (0, 1, 3)])
+    def test_directly_built_instance_with_any_ids(self, ids):
+        rng = random.Random(sum(ids))
+        cells = [frozenset(rng.sample(ids, rng.randint(2, 3))) for _ in range(4)]
+        inst = DinitzInstance(2, ((cells[0], cells[1]), (cells[2], cells[3])), ())
+        trace, ref_trace = [], []
+        grid = solve_dinitz(inst, checked=True, trace=trace)
+        assert grid == generic_solve(inst, profile_oracle, checked=True, trace=ref_trace)
+        assert trace == ref_trace
+        assert verify_generalized_latin(inst, grid).valid
 
     def test_never_builds_the_orientation(self, monkeypatch):
         def refuse(n):
@@ -568,20 +675,43 @@ class TestVerifyGeneralizedLatin:
         with pytest.raises(ValueError):
             verify_generalized_latin(self.inst, [[0, 1]])
 
+    @given(square_instances(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, inst, rng):
+        n = inst.n
+        grid = solve_dinitz(inst)
+        for _ in range(rng.randint(0, 3) if n else 0):
+            grid[rng.randrange(n)][rng.randrange(n)] = rng.randint(-1, len(inst.labels))
+        assert verify_generalized_latin(inst, grid) == reference_verify(inst, grid)
+
 
 class TestCheckConditionY:
+    """Condition Y -- every list strictly larger than its vertex's
+    outdegree -- as the precondition of list_color_with_kernels."""
+
+    class Reached(Exception):
+        pass
+
+    def assert_holds(self, g, lists):
+        """The precondition passes: the loop gets as far as the oracle."""
+
+        def oracle(_g, _s):
+            raise self.Reached
+
+        with pytest.raises(self.Reached):
+            list_color_with_kernels(g, lists, oracle)
+
     def test_isolated_vertex_with_one_color(self):
         g = make_digraph(1, [])
-        assert check_condition_y(g, [{5}]).valid
+        self.assert_holds(g, [{5}])
 
     def test_tight_list_fails(self):
         g = make_digraph(3, [(0, 1), (0, 2)])
-        report = check_condition_y(g, [{1, 2}, {1}, {1}])
-        assert not report.valid
-        assert report.witness == 0
+        with pytest.raises(ValueError, match=r"^vertex 0: list size 2 must exceed"):
+            list_color_with_kernels(g, [{1, 2}, {1}, {1}], find_kernel_bruteforce)
 
     @pytest.mark.parametrize("n", [1, 5, 20, 50])
     def test_square_orientation_with_n_sized_lists(self, n):
         g = build_square_orientation(n)
         lists = [set(range(n))] * (n * n)
-        assert check_condition_y(g, lists).valid
+        self.assert_holds(g, lists)
