@@ -7,6 +7,11 @@ success or a positive verdict, 1 for a negative result (invalid
 solution, failed audit, no kernel) or an internal solver defect, 2 for
 usage and input errors.  Warnings go to stderr; stdout carries only
 machine-readable output.
+
+``verify`` checks the parsed label lists directly: every test it makes
+(row repeats, column repeats, list membership) runs on the labels with
+Python equality, as interning would, so it never builds the interned
+instance that ``solve`` needs.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 from .digraph import MAX_VERTICES, Digraph, format_digraph, parse_digraph
 from .galvin import (
@@ -49,7 +55,10 @@ def _error(message: str) -> int:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep") from None
 
 
 def _check_lists(
@@ -59,7 +68,8 @@ def _check_lists(
     is not an array of the right size.  Given ``args``, a cell with an
     array or object as a label counts too, and duplicate labels in the
     cells before the fault are warned about: the whole per-cell check,
-    which _load_instance runs only once the quick one or interning failed.
+    which _load_instance runs only once the quick one or interning failed
+    and cmd_verify always runs.
     """
     for i, row in enumerate(lists):
         if not isinstance(row, list) or len(row) != n:
@@ -84,7 +94,9 @@ def _check_n(path: str, n) -> None:
         raise ValueError(f"{path}: 'n' must be a non-negative integer")
 
 
-def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
+def _read_instance(path: str) -> tuple[int, list]:
+    """The instance's 'n' and its 'lists' array of n rows, unchecked below
+    the rows."""
     data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data or "lists" not in data:
         raise ValueError(f"{path}: instance JSON needs fields 'n' and 'lists'")
@@ -92,6 +104,11 @@ def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
     _check_n(path, n)
     if not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"{path}: 'lists' must be an array of {n} rows")
+    return n, lists
+
+
+def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
+    n, lists = _read_instance(path)
     try:
         _check_lists(path, n, lists)
         inst = DinitzInstance.from_labels(lists)
@@ -192,6 +209,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     universe_size = args.universe_size if args.universe_size is not None else 3 * n
     if n < 0:
         return _error("--n must be non-negative")
+    if list_size < 0:
+        return _error("--list-size must be non-negative")
+    if universe_size < 0:
+        return _error("--universe-size must be non-negative")
     if universe_size < list_size:
         return _error(
             f"universe of {universe_size} labels cannot supply lists of {list_size}"
@@ -242,17 +263,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        inst = _load_instance(args.instance, args)
-        n, grid = _load_solution(args.solution)
-        if n != inst.n or len(grid) != n or any(len(row) != n for row in grid):
+        n, lists = _read_instance(args.instance)
+        _check_lists(args.instance, n, lists, args)
+        grid_n, grid = _load_solution(args.solution)
+        if grid_n != n or len(grid) != n or any(len(row) != n for row in grid):
             raise ValueError("solution dimensions do not match the instance")
         try:
-            ids = inst.intern_grid(grid)
+            hash(tuple(map(tuple, grid)))  # JSON arrays and objects are unhashable
         except TypeError:
             raise ValueError(
                 f"{args.solution}: 'grid' has an array or object as a color label"
             ) from None
-        report = verify_generalized_latin(inst, ids)
+        report = verify_generalized_latin(SimpleNamespace(n=n, lists=lists), grid)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
     if report.valid:
@@ -270,6 +292,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_orient(args: argparse.Namespace) -> int:
     if args.n < 0:
         return _error("n must be non-negative")
+    if args.n * args.n > MAX_VERTICES:  # parse_digraph would refuse the output
+        return _error(
+            f"n = {args.n} gives {args.n * args.n} vertices, "
+            f"above the limit of {MAX_VERTICES}"
+        )
     sys.stdout.write(format_digraph(build_square_orientation(args.n)))
     return EXIT_OK
 
@@ -364,6 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse's value for an operand "--" after "--"
+            setattr(args, name, "--")
     return args.func(args)
 
 

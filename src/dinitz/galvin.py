@@ -509,14 +509,17 @@ def _residual_outdegrees(n: int, colored: bytearray) -> list[int]:
     return out
 
 
-def verify_generalized_latin(
-    inst: DinitzInstance, grid: Sequence[Sequence[int]]
-) -> LatinReport:
-    """Check a grid of color ids against an instance.
+def verify_generalized_latin(inst, grid: Sequence[Sequence[Hashable]]) -> LatinReport:
+    """Check a grid of colors against an instance.
 
     Valid iff every row and every column has all-distinct entries and
     each entry belongs to its cell's list.  Violations are reported in
     that order: rows, then columns, then cell membership.
+
+    ``inst`` may be any object with an ``n`` and ``lists`` whose cells
+    support ``in``: a :class:`DinitzInstance` with a grid of color ids,
+    or the raw label lists with a grid of labels, which gives the same
+    verdict because interning, too, tells labels apart by equality.
     """
     n = inst.n
     if len(grid) != n or any(len(row) != n for row in grid):

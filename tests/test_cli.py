@@ -90,6 +90,22 @@ class TestGen:
         assert doc["meta"]["list_size"] == 4
         assert doc["meta"]["universe_size"] == 12
 
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [
+            (["--list-size", "-1", "--allow-undersized"], "--list-size"),
+            (["--universe-size", "-1", "--list-size", "-3", "--allow-undersized"],
+             "--list-size"),
+            (["--universe-size", "-1", "--list-size", "0", "--allow-undersized"],
+             "--universe-size"),
+        ],
+    )
+    def test_negative_sizes_are_exit_2(self, argv, reported, capsys):
+        code, out, err = run(capsys, "gen", "--n", "3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {reported} must be non-negative\n"
+
 
 class TestSolveAndVerify:
     def test_spec_shaped_instance(self, tmp_path, capsys):
@@ -266,6 +282,36 @@ class TestSolveAndVerify:
         assert code == 1
         assert "(0, 0)" in out
 
+    @pytest.mark.parametrize("deep", ["instance", "verify-instance", "verify-solution"])
+    def test_deeply_nested_json_is_exit_2(self, deep, tmp_path, capsys):
+        nested = tmp_path / "deep.json"
+        nested.write_text("[" * 100_000)
+        good = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "i.json")
+        sol = write_json(tmp_path, {"n": 1, "grid": [["a"]]}, "s.json")
+        if deep == "instance":
+            argv = ["solve", str(nested), str(tmp_path / "out.json")]
+        elif deep == "verify-instance":
+            argv = ["verify", str(nested), sol]
+        else:
+            argv = ["verify", good, str(nested)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {nested}: JSON nesting too deep\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_verify_never_interns(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify interned the labels")
+
+        monkeypatch.setattr("dinitz.galvin.DinitzInstance.from_labels", refuse)
+        monkeypatch.setattr("dinitz.galvin.DinitzInstance.intern_grid", refuse)
+        lists = [[["a", 1, None], [True, "a"]], [[2.5, "b", 1.0], ["b", None, "a"]]]
+        inst = write_json(tmp_path, {"n": 2, "lists": lists}, "i.json")
+        sol = write_json(tmp_path, {"n": 2, "grid": [["a", 1], [2.5, "a"]]}, "s.json")
+        code, out, err = run(capsys, "verify", inst, sol)
+        assert (code, out, err) == (0, "valid\n", "")
+
     def test_verify_dimension_mismatch(self, tmp_path, capsys):
         instance = {"n": 2, "lists": [[["a", "b"], ["a", "b"]],
                                       [["a", "b"], ["a", "b"]]]}
@@ -294,6 +340,29 @@ class TestOrient:
         _, out, _ = run(capsys, "orient", "4")
         pairs = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
         assert pairs == sorted(pairs)
+
+    def test_size_above_the_vertex_cap_is_exit_2(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("build_square_orientation was called")
+
+        monkeypatch.setattr("dinitz.cli.build_square_orientation", refuse)
+        code, out, err = run(capsys, "orient", "513")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: n = 513 gives {513 * 513} vertices, above the limit of {MAX_VERTICES}\n"
+        )
+
+    def test_size_at_the_vertex_cap_is_built(self, capsys, monkeypatch):
+        built = []
+
+        def record(n):
+            built.append(n)
+            return make_digraph(0, [])
+
+        monkeypatch.setattr("dinitz.cli.build_square_orientation", record)
+        assert run(capsys, "orient", "512")[0] == 0
+        assert built == [512] and 512 * 512 == MAX_VERTICES
 
 
 class TestPropx:
@@ -436,6 +505,25 @@ class TestKernel:
             for out in (out_bf, out_gs):
                 kernel = frozenset(int(t) for t in out.split())
                 assert is_kernel(g, subset, kernel)
+
+
+class TestDoubleDashOperand:
+    """argparse hands an operand "--" given after "--" over as an empty list."""
+
+    @pytest.mark.parametrize(
+        "command, reported",
+        [
+            ("verify", "[Errno 2] No such file or directory: '--'"),
+            ("kernel", "invalid literal for int() with base 10: '--'"),
+        ],
+    )
+    def test_is_read_as_the_string(self, command, reported, tmp_path, capsys):
+        if command == "verify":
+            first = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "i.json")
+        else:
+            first = triangle_file(tmp_path)
+        code, out, err = run(capsys, command, first, "--", "--")
+        assert (code, out, err) == (2, "", f"error: {reported}\n")
 
 
 class TestRoundTrip:
