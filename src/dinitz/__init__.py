@@ -46,7 +46,6 @@ from .galvin import (
     LatinReport,
     UndersizedListError,
     build_square_orientation,
-    cell_to_vertex,
     is_square_kernel,
     latin_value,
     list_color_with_kernels,
@@ -76,7 +75,6 @@ __all__ = [
     "UndersizedListError",
     "VertexRangeError",
     "build_square_orientation",
-    "cell_to_vertex",
     "deferred_acceptance",
     "enumerate_stable_matchings",
     "find_kernel_bruteforce",

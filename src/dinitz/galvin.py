@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import contains
-from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
 from .kernel import is_kernel
 
 __all__ = [
     "latin_value",
-    "cell_to_vertex",
     "vertex_to_cell",
     "build_square_orientation",
     "square_kernel_oracle",
@@ -85,15 +84,8 @@ def latin_value(r: int, c: int, n: int) -> int:
     return (r + c) % n
 
 
-def cell_to_vertex(r: int, c: int, n: int) -> int:
-    """Row-major cell id: (r, c) -> r*n + c.  Stable across versions."""
-    if not (0 <= r < n and 0 <= c < n):
-        raise ValueError(f"cell ({r}, {c}) out of range for n={n}")
-    return r * n + c
-
-
 def vertex_to_cell(v: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`cell_to_vertex`."""
+    """The (row, column) of row-major cell id v = row * n + column."""
     if not 0 <= v < n * n:
         raise ValueError(f"vertex {v} out of range for n={n}")
     return divmod(v, n)
@@ -120,33 +112,27 @@ def build_square_orientation(n: int) -> Digraph:
     return Digraph(n * n, tuple(succ))
 
 
-def _check_cells(n: int, s: Collection[int]) -> None:
-    """Raise ValueError unless every cell id in s lies in the n x n square."""
-    if s:
-        lo, hi = min(s), max(s)
-        if lo < 0 or hi >= n * n:
-            bad = lo if lo < 0 else hi
-            raise ValueError(f"vertex {bad} out of range for the {n}x{n} square")
+def _sorted_cells(n: int, s: Iterable[int]) -> list[int]:
+    """The cells of s ascending, repeats kept; ValueError unless all lie in
+    the n x n square.  Sorting an ascending list takes one linear pass."""
+    cells = sorted(s)
+    if cells and (cells[0] < 0 or cells[-1] >= n * n):
+        bad = cells[0] if cells[0] < 0 else cells[-1]
+        raise ValueError(f"vertex {bad} out of range for the {n}x{n} square")
+    return cells
 
 
-def _rows_by_value(n: int, s: Iterable[int]) -> dict[int, list[int]]:
-    """The cells of s grouped by row, each row in ascending Latin value.
-
-    Row r holds value r + c in columns c < n - r and wraps round to
-    r + c - n in the rest, so its ascending order is the row-major run
-    from column n - r on, then the run before it.
-    """
-    cells = sorted(frozenset(s))
-    _check_cells(n, cells)
-    rows: dict[int, list[int]] = {}
+def _row_spans(n: int, cells: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(r, lo, wrap, hi) for each row r of the ascending cells: row r is
+    cells[lo:hi], and as its Latin value r + c wraps round to r + c - n
+    from column n - r on, it ascends as cells[wrap:hi] + cells[lo:wrap]."""
     lo = 0
     while lo < len(cells):
         r = cells[lo] // n
         hi = bisect_left(cells, (r + 1) * n, lo)
         wrap = bisect_left(cells, (r + 1) * n - r, lo, hi)
-        rows[r] = cells[wrap:hi] + cells[lo:wrap]
+        yield r, lo, wrap, hi
         lo = hi
-    return rows
 
 
 def square_kernel_oracle(n: int, s: Iterable[int]) -> frozenset[int]:
@@ -162,9 +148,13 @@ def square_kernel_oracle(n: int, s: Iterable[int]) -> frozenset[int]:
 
     Runs row-proposing deferred acceptance directly on Latin values:
     within a row or a column each value names one cell, so a column
-    need only remember the value it holds.
+    need only remember the value it holds.  ``s`` may be any iterable
+    with repeats; an ascending list is sorted in one linear pass.
     """
-    prefs = _rows_by_value(n, s)  # pop() yields a row's favourite left
+    cells = _sorted_cells(n, s)
+    prefs = {  # each row ascending by value: pop() yields its favourite left
+        r: cells[wrap:hi] + cells[lo:wrap] for r, lo, wrap, hi in _row_spans(n, cells)
+    }
     held = [n] * n  # Latin value of the cell each column holds; n = none
     for r, row in prefs.items():
         while row:
@@ -184,30 +174,40 @@ def is_square_kernel(n: int, s: Iterable[int], s_prime: Iterable[int]) -> bool:
     """True iff s_prime is a kernel of the cells s in the square orientation.
 
     Agrees with ``is_kernel(build_square_orientation(n), s, s_prime)``
-    without building the orientation, in O(n + |s|): s_prime must lie
-    inside s and hold at most one cell per row and per column, and
-    every other cell of s needs a chosen cell in its row with a larger
-    Latin value or one in its column with a smaller value.  Returns
-    False rather than raising when s_prime is not a subset of s.
+    without building the orientation: s_prime must lie inside s (else
+    False, not an error) with at most one cell per row and per column,
+    and every other cell of s needs a chosen cell in its row with larger
+    Latin value or one in its column with smaller value.  Only cells
+    above their row's chosen one (all, if none) can lack the first, so
+    past one sort of s, linear when ascending, this takes O(n log |s|)
+    plus those cells; an s of at most n cells is tested cell by cell.
     """
-    s = frozenset(s)
-    s_prime = frozenset(s_prime)
-    _check_cells(n, s)
-    if not s_prime <= s:
-        return False
+    cells = _sorted_cells(n, s)
     row_top = [-1] * n  # Latin value of the chosen cell per row; -1 = none
     col_low = [n] * n  # Latin value of the chosen cell per column; n = none
-    for v in s_prime:
+    for v in frozenset(s_prime):
+        i = bisect_left(cells, v)
+        if i == len(cells) or cells[i] != v:
+            return False
         r, c = divmod(v, n)
         if row_top[r] >= 0 or col_low[c] < n:
             return False
         row_top[r] = col_low[c] = (r + c) % n
-    # A chosen cell meets neither strict inequality, so it passes too.
-    for v in s:
-        r, c = divmod(v, n)
-        t = (r + c) % n
-        if row_top[r] < t < col_low[c]:
-            return False
+    # A chosen cell, or a repeat of it, meets neither strict inequality.
+    if len(cells) <= n:  # about a cell per row: spans would cost more
+        for v in cells:
+            r, c = divmod(v, n)
+            if row_top[r] < (r + c) % n < col_low[c]:
+                return False
+        return True
+    for r, lo, wrap, hi in _row_spans(n, cells):
+        # the row from its chosen cell up in Latin value; all of it if none
+        t = row_top[r]
+        j = wrap if t < 0 else bisect_left(cells, r * n + (t - r) % n, lo, hi)
+        for u in cells[j:wrap] if j < wrap else cells[j:hi] + cells[lo:wrap]:
+            c = u % n
+            if (r + c) % n < col_low[c]:
+                return False
     return True
 
 
@@ -408,15 +408,15 @@ def solve_dinitz(
 ) -> list[list[int]]:
     """Pick one color id per cell so rows and columns stay all-distinct.
 
-    Requires every cell list to hold at least n colors.  Runs the kernel
-    coloring loop of :func:`list_color_with_kernels` on the Latin-value
-    orientation with :func:`square_kernel_oracle`, without building the
-    orientation: colors are visited once each, smallest id first, and
-    each goes to a kernel of the uncolored cells that list it, checked
-    by :func:`is_square_kernel`.  ``checked`` and ``trace`` behave as
-    there, and a bad oracle answer raises :class:`KernelOracleError`
-    with the same residual state.  Returns the n x n grid of chosen
-    color ids; it always passes :func:`verify_generalized_latin`.
+    Requires every cell list to hold at least n colors.  Colors are
+    visited once each, smallest id first, and each goes to a kernel of
+    the uncolored cells that list it: one :func:`square_kernel_oracle`
+    call on them as an ascending list, checked by :func:`is_square_kernel`.
+    The orientation is never built, yet the grid, ``trace``, ``checked``
+    and a bad answer's :class:`KernelOracleError` are those of
+    :func:`list_color_with_kernels` on the Latin-value orientation with
+    the same oracle.  Returns the n x n grid of chosen color ids; it
+    always passes :func:`verify_generalized_latin`.
     """
     n = inst.n
     cells = [cell for row in inst.lists for cell in row]
@@ -440,7 +440,7 @@ def solve_dinitz(
     for color in colors:
         if not left:
             break
-        candidates = frozenset([v for v in buckets[color] if not colored[v]])
+        candidates = [v for v in buckets[color] if not colored[v]]  # ascending
         if not candidates:
             continue
         chosen = square_kernel_oracle(n, candidates)
@@ -449,7 +449,7 @@ def solve_dinitz(
         if chosen is None or not is_square_kernel(n, candidates, chosen):
             raise KernelOracleError(
                 color,
-                candidates,
+                frozenset(candidates),
                 chosen,
                 {
                     v: frozenset(c for c in cells[v] if c >= color)
@@ -462,7 +462,7 @@ def solve_dinitz(
             flat[v] = color
         left -= len(chosen)
         if trace is not None:
-            trace.append(ColorPass(color, candidates, chosen))
+            trace.append(ColorPass(color, frozenset(candidates), chosen))
         if checked:
             _check_square_slack(n, cells, colored, color)
     if left:

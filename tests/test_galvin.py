@@ -13,7 +13,6 @@ from dinitz import (
     LatinReport,
     UndersizedListError,
     build_square_orientation,
-    cell_to_vertex,
     deferred_acceptance,
     enumerate_stable_matchings,
     find_kernel_bruteforce,
@@ -78,6 +77,25 @@ def square_kernel_cases(draw, max_n=8):
     elif s and how == "any":
         k = frozenset(draw(st.sets(st.sampled_from(sorted(s)))))
     return n, s, k
+
+
+@st.composite
+def unsorted_square_kernel_cases(draw):
+    """(n, s, k) of square_kernel_cases with s an unsorted list in which
+    some cells repeat, and k an unsorted list that may repeat too."""
+    n, s, k = draw(square_kernel_cases())
+    rng = draw(st.randoms(use_true_random=False))
+    s_list = sorted(s) + [v for v in sorted(s) if rng.random() < 0.3]
+    k_list = sorted(k) + [v for v in sorted(k) if rng.random() < 0.3]
+    rng.shuffle(s_list)
+    rng.shuffle(k_list)
+    return n, s_list, k_list
+
+
+def reference_is_square_kernel(n, s, k):
+    """is_kernel on the materialised orientation, False for a k outside s
+    (where is_kernel raises instead)."""
+    return set(k) <= set(s) and is_kernel(build_square_orientation(n), s, k)
 
 
 @st.composite
@@ -193,22 +211,20 @@ class TestLatinValue:
 
 class TestCellIndexMap:
     def test_row_major(self):
-        assert cell_to_vertex(1, 2, 4) == 6
         assert vertex_to_cell(6, 4) == (1, 2)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_bijection(self, n):
-        ids = {cell_to_vertex(r, c, n) for r in range(n) for c in range(n)}
-        assert ids == set(range(n * n))
-        for v in range(n * n):
-            r, c = vertex_to_cell(v, n)
-            assert cell_to_vertex(r, c, n) == v
+        cells = [vertex_to_cell(v, n) for v in range(n * n)]
+        assert sorted(cells) == [(r, c) for r in range(n) for c in range(n)]
+        for v, (r, c) in enumerate(cells):
+            assert r * n + c == v
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            cell_to_vertex(2, 0, 2)
-        with pytest.raises(ValueError):
             vertex_to_cell(4, 2)
+        with pytest.raises(ValueError):
+            vertex_to_cell(-1, 2)
 
 
 class TestSquareOrientation:
@@ -285,13 +301,13 @@ class TestSquareOrientation:
                     small, large = (
                         (a, b) if latin_value(*a, n) < latin_value(*b, n) else (b, a)
                     )
-                    edges.add((cell_to_vertex(*small, n), cell_to_vertex(*large, n)))
+                    edges.add((small[0] * n + small[1], large[0] * n + large[1]))
                 for r2 in range(r + 1, n):
                     a, b = (r, c), (r2, c)
                     small, large = (
                         (a, b) if latin_value(*a, n) < latin_value(*b, n) else (b, a)
                     )
-                    edges.add((cell_to_vertex(*large, n), cell_to_vertex(*small, n)))
+                    edges.add((large[0] * n + large[1], small[0] * n + small[1]))
         assert build_square_orientation(n).edges == edges
 
 
@@ -314,6 +330,23 @@ class TestSquareKernelOracle:
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             square_kernel_oracle(2, {4})
+
+    @pytest.mark.parametrize("bad", [-1, 9, 99])
+    def test_out_of_range_names_the_cell(self, bad):
+        s = [5, 2, bad, 2, 0]
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for the 3x3"):
+            square_kernel_oracle(3, s)
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for the 3x3"):
+            is_square_kernel(3, s, [])
+
+    @given(unsorted_square_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_kernel_for_every_input_form(self, case):
+        n, s_list, _ = case
+        expected = square_kernel_oracle(n, frozenset(s_list))
+        assert square_kernel_oracle(n, s_list) == expected
+        assert square_kernel_oracle(n, (v for v in s_list)) == expected
+        assert square_kernel_oracle(n, sorted(set(s_list))) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive_validity_small_n(self, n):
@@ -381,6 +414,34 @@ class TestIsSquareKernel:
     def test_agrees_with_is_kernel_random(self, case):
         n, s, k = case
         assert is_square_kernel(n, s, k) == is_kernel(build_square_orientation(n), s, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_is_kernel_on_every_pair_small_n(self, n):
+        # every answer inside s at n = 3, every answer in the grid at n <= 2
+        subsets = [
+            frozenset(v for v in range(n * n) if mask >> v & 1)
+            for mask in range(1 << n * n)
+        ]
+        for s in subsets:
+            for k in subsets if n < 3 else [k for k in subsets if k <= s]:
+                assert is_square_kernel(n, s, k) == reference_is_square_kernel(n, s, k)
+
+    @given(unsorted_square_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_is_kernel_on_unsorted_repeated_cells(self, case):
+        n, s, k = case
+        assert is_square_kernel(n, s, k) == reference_is_square_kernel(n, s, k)
+
+    @pytest.mark.parametrize(
+        "outsider", [lambda n: -1, lambda n: n * n, lambda n: 99], ids=["-1", "n*n", "99"]
+    )
+    @given(case=square_kernel_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_is_kernel_on_out_of_range_answers(self, outsider, case):
+        n, s, k = case
+        k = k | {outsider(n)}
+        assert not is_square_kernel(n, s, k)
+        assert not reference_is_square_kernel(n, s, k)
 
     def test_cells_outside_the_subset_are_no_kernel(self):
         assert is_square_kernel(2, {0, 1}, {1})
@@ -576,6 +637,27 @@ class TestSolveDinitz:
         grid = solve_dinitz(inst, checked=True, trace=trace)
         assert grid == generic_solve(inst, profile_oracle, checked=True, trace=ref_trace)
         assert trace == ref_trace
+
+    @given(square_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_is_called_once_per_pass_on_its_candidates(self, inst):
+        # bench/tracer.py counts galvin.passes and galvin.candidates from
+        # these calls and compares them with the pinned counts.
+        calls = []
+        honest = galvin.square_kernel_oracle
+
+        def oracle(n, s):
+            calls.append(s)
+            return honest(n, s)
+
+        trace = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galvin, "square_kernel_oracle", oracle)
+            solve_dinitz(inst, trace=trace)
+        assert len(calls) == len(trace)
+        for s, page in zip(calls, trace):
+            assert len(s) == len(page.candidates)
+            assert list(s) == sorted(page.candidates)
 
     @pytest.mark.parametrize("ids", [(3, 7, 40), (-5, 0, 2), (10**12, 1, -1), (0, 1, 3)])
     def test_directly_built_instance_with_any_ids(self, ids):
