@@ -12,6 +12,10 @@ machine-readable output.
 (row repeats, column repeats, list membership) runs on the labels with
 Python equality, as interning would, so it never builds the interned
 instance that ``solve`` needs.
+
+``kernel --mode gs-square`` accepts a graph only if it equals the
+orientation ``orient`` prints for its side length.  A reader that
+closes stdout early (``dinitz gen --n 60 | head -c 1``) gives exit 2.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .galvin import (
     KernelOracleError,
     UndersizedListError,
     build_square_orientation,
-    latin_value,
     solve_dinitz,
     square_kernel_oracle,
     verify_generalized_latin,
@@ -183,26 +186,6 @@ def _parse_subset(spec: str, g: Digraph) -> frozenset[int]:
     return frozenset(members)
 
 
-def _is_square_orientation(g: Digraph, n: int) -> bool:
-    """True iff g is the n x n grid orientation 'orient' prints.
-
-    Each cell has exactly n - 1 valid out-neighbors (the cells later in
-    its row by Latin value, and earlier in its column), so n - 1 edges
-    that all obey the rule are the whole orientation.
-    """
-    for v, out in enumerate(g.succ):
-        if len(out) != n - 1:
-            return False
-        r, c = divmod(v, n)
-        t = latin_value(r, c, n)
-        for w in out:
-            r2, c2 = divmod(w, n)
-            t2 = latin_value(r2, c2, n)
-            if not ((r2 == r and t2 > t) or (c2 == c and t2 < t)):
-                return False
-    return True
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     list_size = args.list_size if args.list_size is not None else n
@@ -327,7 +310,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             return _error(str(exc))
     else:
         n = math.isqrt(g.num_vertices)
-        if n * n != g.num_vertices or not _is_square_orientation(g, n):
+        if n * n != g.num_vertices or g != build_square_orientation(n):
             return _error("gs-square mode needs the graph emitted by 'orient'")
         found = square_kernel_oracle(n, subset)
     if found is None:
@@ -394,7 +377,14 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in vars(args).items():
         if value == []:  # argparse's value for an operand "--" after "--"
             setattr(args, name, "--")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error("standard output was closed before all output was written")
+    return code
 
 
 if __name__ == "__main__":

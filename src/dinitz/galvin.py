@@ -8,20 +8,22 @@ still want it.  Kernels of this orientation always exist and come from
 Gale-Shapley stable matchings: rows propose preferring larger Latin
 values, columns prefer smaller ones.
 
-The grid solver never materialises the orientation: edge directions,
-kernel checks and the matching market are all row/column arithmetic on
-Latin values.  The generic coloring loop works on any digraph whose
-vertex lists are larger than their outdegrees, given any oracle that
-produces kernels of induced subgraphs; ``find_kernel_bruteforce`` plugs
-in directly for small arbitrary digraphs.
+The grid solver materialises the orientation only for its optional
+slack audit: edge directions, kernel checks and the matching market
+are all row/column arithmetic on Latin values.  The generic coloring
+loop works on any digraph whose vertex lists are larger than their
+outdegrees, given any oracle that produces kernels of induced
+subgraphs; ``find_kernel_bruteforce`` plugs in directly for small
+arbitrary digraphs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from operator import contains
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -343,15 +345,14 @@ class DinitzInstance:
                 if not cell:
                     raise ValueError(f"cell ({i}, {j}) has an empty color list")
                 cells.append(cell)
-        labels = tuple(dict.fromkeys(chain.from_iterable(cells)))  # first appearance
-        ids = list(range(len(labels)))
-        get = dict(zip(labels, ids)).__getitem__
+        ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
+        get = ids.__getitem__  # numbers each label on first appearance
         # frozenset(map(...)) grows its table one insert at a time and ends
         # twice as large; copying a set sizes the frozenset for its cell.
         flat = [frozenset(set(map(get, cell))) for cell in cells]
         lists = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
-        inst = cls(n, lists, labels)
-        inst.__dict__["_colors"] = ids  # each id is in some cell
+        inst = cls(n, lists, tuple(ids))
+        inst.__dict__["_colors"] = list(ids.values())  # each id is in some cell
         return inst
 
     def intern_grid(self, rows: Sequence[Sequence[Hashable]]) -> list[list[int]]:
@@ -412,11 +413,13 @@ def solve_dinitz(
     visited once each, smallest id first, and each goes to a kernel of
     the uncolored cells that list it: one :func:`square_kernel_oracle`
     call on them as an ascending list, checked by :func:`is_square_kernel`.
-    The orientation is never built, yet the grid, ``trace``, ``checked``
-    and a bad answer's :class:`KernelOracleError` are those of
-    :func:`list_color_with_kernels` on the Latin-value orientation with
-    the same oracle.  Returns the n x n grid of chosen color ids; it
-    always passes :func:`verify_generalized_latin`.
+    The orientation is built only for the ``checked=True`` audit, which
+    after each pass compares every uncolored cell's colors above the
+    pass's with its uncolored successors.  The grid, ``trace``,
+    ``checked`` and a bad answer's :class:`KernelOracleError` are those
+    of :func:`list_color_with_kernels` on the Latin-value orientation
+    with the same oracle.  Returns the n x n grid of chosen color ids;
+    it always passes :func:`verify_generalized_latin`.
     """
     n = inst.n
     cells = [cell for row in inst.lists for cell in row]
@@ -434,6 +437,7 @@ def solve_dinitz(
             raise UndersizedListError(*divmod(v, n), len(cell), n)
         for color in cell:
             buckets[color].append(v)
+    succ = build_square_orientation(n).succ if checked else ()
     colored = bytearray(n * n)
     flat = [0] * (n * n)
     left = n * n
@@ -441,6 +445,7 @@ def solve_dinitz(
         if not left:
             break
         candidates = [v for v in buckets[color] if not colored[v]]  # ascending
+        buckets[color] = ()  # free it for the passes still to come
         if not candidates:
             continue
         chosen = square_kernel_oracle(n, candidates)
@@ -464,49 +469,22 @@ def solve_dinitz(
         if trace is not None:
             trace.append(ColorPass(color, frozenset(candidates), chosen))
         if checked:
-            _check_square_slack(n, cells, colored, color)
+            for v in range(n * n):
+                if colored[v]:
+                    continue
+                remaining = sum(1 for c in cells[v] if c > color)
+                residual_out = sum(1 for w in succ[v] if not colored[w])
+                if remaining <= residual_out:
+                    raise AssertionError(
+                        f"slack invariant violated at vertex {v} after color {color}: "
+                        f"{remaining} colors vs residual outdegree {residual_out}"
+                    )
     if left:
         raise RuntimeError(
             f"no colors left but {left} cells uncolored; "
             "this cannot happen when every oracle answer was a kernel"
         )
     return [flat[r * n : (r + 1) * n] for r in range(n)]
-
-
-def _check_square_slack(
-    n: int, cells: Sequence[AbstractSet[int]], colored: bytearray, color: int
-) -> None:
-    """Every uncolored cell keeps more colors above ``color`` than it has
-    uncolored out-neighbors."""
-    out = _residual_outdegrees(n, colored)
-    for v in range(n * n):
-        if colored[v]:
-            continue
-        remaining = sum(1 for c in cells[v] if c > color)
-        if remaining <= out[v]:
-            raise AssertionError(
-                f"slack invariant violated at vertex {v} after color {color}: "
-                f"{remaining} colors vs residual outdegree {out[v]}"
-            )
-
-
-def _residual_outdegrees(n: int, colored: bytearray) -> list[int]:
-    """Per uncolored cell, its uncolored out-neighbors in the square
-    orientation: cells later in its row by Latin value, or earlier in its
-    column.  Colored cells get 0."""
-    out = [0] * (n * n)
-    for i in range(n):
-        row_later = col_earlier = 0
-        for t in range(n):
-            row_v = i * n + (-1 - t - i) % n  # row i, Latin value n - 1 - t
-            col_v = ((t - i) % n) * n + i  # column i, Latin value t
-            if not colored[row_v]:
-                out[row_v] += row_later
-                row_later += 1
-            if not colored[col_v]:
-                out[col_v] += col_earlier
-                col_earlier += 1
-    return out
 
 
 def verify_generalized_latin(inst, grid: Sequence[Sequence[Hashable]]) -> LatinReport:

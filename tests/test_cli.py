@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,10 @@ from dinitz import (
     make_digraph,
     parse_digraph,
 )
-from dinitz.cli import _is_square_orientation, main
+from dinitz.cli import main
 from dinitz.digraph import MAX_VERTICES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -459,7 +465,13 @@ class TestKernel:
         assert code == 2
         assert "orient" in err
 
-    def test_gs_square_guard_matches_graph_equality_n2(self):
+    @staticmethod
+    def gs_square_accepts(tmp_path, capsys, g):
+        code, _, _ = run(capsys, "kernel", write_graph(tmp_path, g), "", "--mode", "gs-square")
+        assert code in (0, 2)
+        return code == 0
+
+    def test_gs_square_guard_matches_graph_equality_n2(self, tmp_path, capsys):
         # every orientation of every simple graph on the 4 cells of n = 2
         pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         square = build_square_orientation(2)
@@ -467,23 +479,22 @@ class TestKernel:
             edges = [(u, v) if fwd else (v, u)
                      for (u, v), fwd in zip(pairs, picks) if fwd is not None]
             g = make_digraph(4, edges)
-            assert _is_square_orientation(g, 2) == (g == square), edges
+            assert self.gs_square_accepts(tmp_path, capsys, g) == (g == square), edges
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4])
-    def test_gs_square_guard_matches_graph_equality_perturbed(self, n):
+    def test_gs_square_guard_matches_graph_equality_perturbed(self, n, tmp_path, capsys):
         square = build_square_orientation(n)
-        assert _is_square_orientation(square, n)
+        assert self.gs_square_accepts(tmp_path, capsys, square)
         edges = sorted(square.edges)
         for i, (u, v) in enumerate(edges):
             rest = edges[:i] + edges[i + 1:]
             for g in (make_digraph(n * n, rest), make_digraph(n * n, rest + [(v, u)])):
-                assert not _is_square_orientation(g, n)
+                assert not self.gs_square_accepts(tmp_path, capsys, g)
         for u in range(n * n):
             for v in range(n * n):
                 if u != v and v not in square.succ[u] and u not in square.succ[v]:
-                    assert not _is_square_orientation(
-                        make_digraph(n * n, edges + [(u, v)]), n
-                    )
+                    g = make_digraph(n * n, edges + [(u, v)])
+                    assert not self.gs_square_accepts(tmp_path, capsys, g)
 
     def test_malformed_subset(self, tmp_path, capsys):
         assert run(capsys, "kernel", triangle_file(tmp_path), "0,x")[0] == 2
@@ -524,6 +535,34 @@ class TestDoubleDashOperand:
             first = triangle_file(tmp_path)
         code, out, err = run(capsys, command, first, "--", "--")
         assert (code, out, err) == (2, "", f"error: {reported}\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["gen", "--n", "60"], ["gen", "--n", "2"], ["orient", "3"]],
+        ids=["gen-60", "gen-2", "orient-3"],
+    )
+    def test_is_exit_2_without_a_traceback(self, argv, unbuffered):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dinitz.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestRoundTrip:
