@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from dinitz import (
     make_digraph,
     parse_digraph,
 )
+from dinitz import cli
 from dinitz.cli import main
 from dinitz.digraph import MAX_VERTICES
 
@@ -537,6 +539,15 @@ class TestDoubleDashOperand:
         assert (code, out, err) == (2, "", f"error: {reported}\n")
 
 
+def cli_env(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -544,17 +555,12 @@ class TestClosedStdout:
         ids=["gen-60", "gen-2", "orient-3"],
     )
     def test_is_exit_2_without_a_traceback(self, argv, unbuffered):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "dinitz.cli", *argv], stdout=write_end,
-                stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered), timeout=60,
             )
         finally:
             os.close(write_end)
@@ -563,6 +569,108 @@ class TestClosedStdout:
         assert "Exception ignored" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_mid_write_is_exit_2(self, unbuffered):
+        """``orient 40`` prints megabytes in one write.  Unbuffered, the raw
+        file takes the part the pipe held and returns a short count instead
+        of raising; the rest must still be written, and so fail."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dinitz.cli", "orient", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(unbuffered),
+        )
+        try:
+            assert len(proc.stdout.read(1)) == 1
+        finally:
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+class TestCollectorPaused:
+    """main runs each subcommand with the cyclic garbage collector paused,
+    and gives the caller back the setting it had."""
+
+    SPEC = {"n": 2, "lists": [[["a", "b"], ["a", "b"]], [["a", "b"], ["a", "b"]]]}
+
+    def test_is_paused_inside_the_subcommand(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def recording(function):
+            def wrapper(*args, **kwargs):
+                seen.append((function.__name__, gc.isenabled()))
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_dinitz", recording(cli.solve_dinitz))
+        monkeypatch.setattr(
+            cli, "verify_generalized_latin", recording(cli.verify_generalized_latin)
+        )
+        inst = write_json(tmp_path, self.SPEC, "i.json")
+        sol = str(tmp_path / "s.json")
+        assert run(capsys, "solve", inst, sol)[0] == 0
+        assert run(capsys, "verify", inst, sol)[:2] == (0, "valid\n")
+        assert seen == [("solve_dinitz", False), ("verify_generalized_latin", False)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case, outcome",
+        [("valid", 0), ("invalid", 1), ("missing", 2),
+         ("usage", SystemExit), ("raises", RuntimeError)],
+    )
+    def test_caller_setting_is_restored(self, case, outcome, enabled, tmp_path, monkeypatch):
+        inst = write_json(tmp_path, self.SPEC, "i.json")
+        bad = write_json(tmp_path, {"n": 2, "grid": [["a", "a"], ["b", "b"]]}, "bad.json")
+        out = str(tmp_path / "out.json")
+        argv = {
+            "valid": ["solve", inst, out],
+            "invalid": ["verify", inst, bad],
+            "missing": ["solve", str(tmp_path / "nope.json"), out],
+            "usage": ["solve"],
+            "raises": ["solve", inst, out],
+        }[case]
+
+        def fail(args):
+            raise RuntimeError("solver crashed")
+
+        if case == "raises":
+            monkeypatch.setattr(cli, "cmd_solve", fail)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if isinstance(outcome, int):
+                assert main(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_leaves_no_more_cyclic_garbage_on_a_larger_input(self, tmp_path, capsys):
+        def garbage(*argv):
+            """Objects in reference cycles that one command left behind."""
+            gc.collect()
+            main(list(argv))
+            return gc.collect()
+
+        files = {}
+        for n in (4, 16):
+            (tmp_path / f"i{n}.json").write_text(run(capsys, "gen", "--n", str(n))[1])
+            files[n] = (str(tmp_path / f"i{n}.json"), str(tmp_path / f"s{n}.json"))
+        garbage("solve", *files[4])  # warm up: caches and lazy imports
+        garbage("verify", *files[4])
+        for command in ("solve", "verify"):
+            counts = [garbage(command, *files[n]) for n in (4, 16)]
+            assert counts[0] == counts[1], command
+        small = write_graph(tmp_path, build_square_orientation(3), "small.txt")
+        path = write_graph(tmp_path, make_digraph(12, [(v, v + 1) for v in range(11)]))
+        counts = [garbage("propx", graph) for graph in (small, path)]
+        assert counts[0] == counts[1]
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 ``dinitz verify`` against the interning path it replaced."""
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -22,6 +23,7 @@ def call(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
+    assert gc.isenabled(), "main left the cyclic garbage collector paused"
     return code, out.getvalue(), err.getvalue()
 
 
