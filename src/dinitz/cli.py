@@ -56,6 +56,13 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+# gen refuses n * n * list size + universe size above this many labels:
+# it holds every drawn label, the universe and the JSON text at once,
+# about 105 B per label at peak on 64-bit CPython 3.11 (119 MB at
+# n = 100, against 15 MB for n = 0), so about 0.9 GB here.  n = 200 at
+# the default sizes fits.
+MAX_GEN_LABELS = 1 << 23
+
 
 def _warn(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
@@ -92,14 +99,15 @@ def _read_json(path: str):
 
 
 def _check_lists(
-    path: str, n: int, lists: list, args: argparse.Namespace | None = None
+    path: str, n: int, lists: list, args: argparse.Namespace,
+    interned: DinitzInstance | None = None,
 ) -> None:
-    """Raise ValueError at the first row or cell, in row-major order, that
-    is not an array of the right size.  Given ``args``, a cell with an
-    array or object as a label counts too, and duplicate labels in the
-    cells before the fault are warned about: the whole per-cell check,
-    which _load_instance runs only once the quick one or interning failed
-    and cmd_verify always runs.
+    """Check each row and cell of ``lists`` in row-major order: a row must
+    be an array of ``n`` cells, a cell a non-empty array of labels none of
+    which is an array or object.  Warn about each cell that repeats a
+    label, and raise ValueError at the first fault.  A cell's distinct
+    labels are counted from ``interned``, the DinitzInstance interned from
+    ``lists``, when it is given.
     """
     for i, row in enumerate(lists):
         if not isinstance(row, list) or len(row) != n:
@@ -107,10 +115,8 @@ def _check_lists(
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or not cell:
                 raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
-            if args is None:
-                continue
             try:
-                distinct = len(set(cell))
+                distinct = len(set(cell) if interned is None else interned.lists[i][j])
             except TypeError:
                 raise ValueError(
                     f"{path}: cell ({i}, {j}) has an array or object as a color label"
@@ -119,47 +125,46 @@ def _check_lists(
                 _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
 
 
-def _check_n(path: str, n) -> None:
+def _read_doc(path: str, kind: str, field: str) -> tuple[int, object]:
+    """The 'n', a non-negative integer, and the ``field`` of a JSON object."""
+    data = _read_json(path)
+    if not isinstance(data, dict) or "n" not in data or field not in data:
+        raise ValueError(f"{path}: {kind} JSON needs fields 'n' and '{field}'")
+    n = data["n"]
     if type(n) is not int or n < 0:  # JSON true is a Python int
         raise ValueError(f"{path}: 'n' must be a non-negative integer")
+    return n, data[field]
 
 
 def _read_instance(path: str) -> tuple[int, list]:
     """The instance's 'n' and its 'lists' array of n rows, unchecked below
     the rows."""
-    data = _read_json(path)
-    if not isinstance(data, dict) or "n" not in data or "lists" not in data:
-        raise ValueError(f"{path}: instance JSON needs fields 'n' and 'lists'")
-    n, lists = data["n"], data["lists"]
-    _check_n(path, n)
+    n, lists = _read_doc(path, "instance", "lists")
     if not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"{path}: 'lists' must be an array of {n} rows")
     return n, lists
 
 
 def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
+    """The instance file at ``path``, interned, once _check_lists passes
+    on its lists: the same warnings, and the same ValueError at the first
+    fault."""
     n, lists = _read_instance(path)
     try:
-        _check_lists(path, n, lists)
+        # Interning would read a string cell as its characters.
+        if not all(isinstance(row, list) and all(isinstance(cell, list) for cell in row)
+                   for row in lists):
+            raise ValueError
         inst = DinitzInstance.from_labels(lists)
     except (TypeError, ValueError):
-        # An unhashable label (TypeError from interning) may sit before
-        # the first shape fault: report whichever comes first.
-        _check_lists(path, n, lists, args)
+        _check_lists(path, n, lists, args)  # raises at the first fault
         raise
-    for i, (row, interned) in enumerate(zip(lists, inst.lists)):
-        for j, (cell, ids) in enumerate(zip(row, interned)):
-            if len(ids) != len(cell):
-                _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+    _check_lists(path, n, lists, args, inst)
     return inst
 
 
 def _load_solution(path: str) -> tuple[int, list]:
-    data = _read_json(path)
-    if not isinstance(data, dict) or "n" not in data or "grid" not in data:
-        raise ValueError(f"{path}: solution JSON needs fields 'n' and 'grid'")
-    n, grid = data["n"], data["grid"]
-    _check_n(path, n)
+    n, grid = _read_doc(path, "solution", "grid")
     if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
         raise ValueError(f"{path}: 'grid' must be an array of arrays")
     return n, grid
@@ -217,12 +222,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     list_size = args.list_size if args.list_size is not None else n
     universe_size = args.universe_size if args.universe_size is not None else 3 * n
-    if n < 0:
-        return _error("--n must be non-negative")
-    if list_size < 0:
-        return _error("--list-size must be non-negative")
-    if universe_size < 0:
-        return _error("--universe-size must be non-negative")
+    for flag, value in (("--n", n), ("--list-size", list_size),
+                        ("--universe-size", universe_size)):
+        if value < 0:
+            return _error(f"{flag} must be non-negative")
+    labels_held = n * n * list_size + universe_size
+    if labels_held > MAX_GEN_LABELS:
+        return _error(
+            f"n = {n} with lists of {list_size} from {universe_size} labels needs "
+            f"{labels_held} labels in memory, above the limit of {MAX_GEN_LABELS}"
+        )
     if universe_size < list_size:
         return _error(
             f"universe of {universe_size} labels cannot supply lists of {list_size}"

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 from itertools import product
@@ -18,6 +19,7 @@ from dinitz import (
 from dinitz import cli
 from dinitz.cli import main
 from dinitz.digraph import MAX_VERTICES
+from dinitz.kernel import DEFAULT_KERNEL_CAP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,6 +93,54 @@ class TestGen:
                            "--allow-undersized")
         assert code == 0
         assert err == ""
+
+    def test_empty_lists_for_a_non_empty_grid_are_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--n", "2", "--list-size", "0",
+                             "--allow-undersized")
+        assert (code, out) == (2, "")
+        assert err == (
+            "warning: lists of 0 colors are below the solvable bound of 2\n"
+            "error: lists must be non-empty for a non-empty grid\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2", "--universe-size", "100000000000"],
+            ["--n", "2000", "--list-size", "2000", "--universe-size", "2000"],
+            ["--n", "100000", "--list-size", "1", "--universe-size", "1",
+             "--allow-undersized"],
+        ],
+        ids=["universe", "lists", "grid"],
+    )
+    def test_sizes_above_the_label_budget_are_exit_2_in_bounded_memory(self, argv):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinitz.cli", "gen", *argv], capture_output=True,
+            text=True, env=cli_env(False), preexec_fn=limit_memory, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("universe, refused", [(4, False), (5, True)])
+    def test_label_budget_counts_list_entries_and_universe(
+        self, universe, refused, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "MAX_GEN_LABELS", 2 * 2 * 4 + 4)
+        code, out, err = run(capsys, "gen", "--n", "2", "--list-size", "4",
+                             "--universe-size", str(universe))
+        if refused:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: n = 2 with lists of 4 from 5 labels needs 21 labels "
+                "in memory, above the limit of 20\n"
+            )
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["meta"]["universe_size"] == 4
 
     def test_defaults_are_n_and_3n(self, capsys):
         code, out, _ = run(capsys, "gen", "--n", "4")
@@ -271,6 +321,28 @@ class TestSolveAndVerify:
         assert code == 2
         assert out == ""
         assert "grid" in err
+
+    @pytest.mark.parametrize("grid", ["a", [["a"], "a"], {"0": ["a"]}, None])
+    def test_verify_grid_not_an_array_of_arrays_is_exit_2(self, grid, tmp_path, capsys):
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "i.json")
+        sol = write_json(tmp_path, {"n": 1, "grid": grid}, "s.json")
+        code, out, err = run(capsys, "verify", inst, sol)
+        assert (code, out) == (2, "")
+        assert err == f"error: {sol}: 'grid' must be an array of arrays\n"
+
+    def test_internal_solver_failure_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(inst):
+            raise cli.KernelOracleError(0, frozenset({0, 1}), frozenset({1}), [])
+
+        monkeypatch.setattr(cli, "solve_dinitz", fail)
+        inst = write_json(tmp_path, {"n": 1, "lists": [[["x"]]]}, "i.json")
+        code, out, err = run(capsys, "solve", inst, str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == (
+            "internal solver failure: oracle output [1] is not a kernel "
+            "of the 2 candidates for color 0\n"
+        )
+        assert not (tmp_path / "s.json").exists()
 
     def test_verify_row_repeat(self, tmp_path, capsys):
         instance = {"n": 2, "lists": [[["a", "b"], ["a", "b"]],
@@ -498,6 +570,28 @@ class TestKernel:
                     g = make_digraph(n * n, edges + [(u, v)])
                     assert not self.gs_square_accepts(tmp_path, capsys, g)
 
+    @pytest.mark.parametrize(
+        "subset, reported",
+        [
+            ("@1", "cell reference '@1' is missing its column"),
+            ("0,@1", "cell reference '@1' is missing its column"),
+            ("@0,2", "cell (0, 2) out of range for n=2"),
+            ("@-1,0", "cell (-1, 0) out of range for n=2"),
+        ],
+    )
+    def test_bad_cell_reference_is_exit_2(self, subset, reported, tmp_path, capsys):
+        path = write_graph(tmp_path, build_square_orientation(2))
+        code, out, err = run(capsys, "kernel", path, subset)
+        assert (code, out, err) == (2, "", f"error: {reported}\n")
+
+    def test_bruteforce_above_the_subset_cap_is_exit_2(self, tmp_path, capsys):
+        path = write_graph(tmp_path, build_square_orientation(5))
+        code, out, err = run(capsys, "kernel", path, ",".join(map(str, range(25))))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: subset has 25 vertices, exceeding the cap of {DEFAULT_KERNEL_CAP}\n"
+        )
+
     def test_malformed_subset(self, tmp_path, capsys):
         assert run(capsys, "kernel", triangle_file(tmp_path), "0,x")[0] == 2
 
@@ -546,6 +640,23 @@ def cli_env(unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+class TestImportBoundary:
+    def test_import_dinitz_loads_no_command_line_module(self):
+        """The library's callers never run the command line's code."""
+        code = (
+            "import sys; before = set(sys.modules); import dinitz; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=cli_env(False), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = proc.stdout.split()
+        assert "dinitz.galvin" in added
+        assert not {"dinitz.cli", "argparse", "json"} & set(added)
 
 
 class TestClosedStdout:

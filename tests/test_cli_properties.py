@@ -1,5 +1,6 @@
-"""Property tests of the command line: exit codes on arbitrary input, and
-``dinitz verify`` against the interning path it replaced."""
+"""Property tests of the command line: exit codes on arbitrary input,
+``dinitz verify`` against the interning path it replaced, and the
+instance loader against its earlier check, intern, recheck form."""
 
 import argparse
 import gc
@@ -11,8 +12,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dinitz import format_digraph, verify_generalized_latin
-from dinitz.cli import _error, _load_instance, _load_solution, main
+from dinitz import DinitzInstance, format_digraph, verify_generalized_latin
+from dinitz.cli import _error, _load_instance, _load_solution, _read_instance, _warn, main
 
 from strategies import digraphs
 
@@ -33,11 +34,53 @@ def write(directory, name, text):
     return str(path)
 
 
+def reference_check_lists(
+    path: str, n: int, lists: list, args: argparse.Namespace | None = None
+) -> None:
+    """The CLI's list check as it was when it had a quick mode: without
+    ``args``, shapes only; with them, unhashable labels too, and duplicate
+    warnings for the cells before the first fault."""
+    for i, row in enumerate(lists):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"{path}: row {i} must be an array of {n} cells")
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or not cell:
+                raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
+            if args is None:
+                continue
+            try:
+                distinct = len(set(cell))
+            except TypeError:
+                raise ValueError(
+                    f"{path}: cell ({i}, {j}) has an array or object as a color label"
+                ) from None
+            if distinct != len(cell):
+                _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+
+
+def reference_load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
+    """The CLI's instance loader as it was: a quick shape check, interning,
+    the whole check again on any fault, then duplicate warnings read off
+    the interned cells."""
+    n, lists = _read_instance(path)
+    try:
+        reference_check_lists(path, n, lists)
+        inst = DinitzInstance.from_labels(lists)
+    except (TypeError, ValueError):
+        reference_check_lists(path, n, lists, args)
+        raise
+    for i, (row, interned) in enumerate(zip(lists, inst.lists)):
+        for j, (cell, ids) in enumerate(zip(row, interned)):
+            if len(ids) != len(cell):
+                _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+    return inst
+
+
 def interning_verify(args: argparse.Namespace) -> int:
     """``dinitz verify`` as it was before it checked the parsed labels:
     intern the instance, intern the grid, check the ids."""
     try:
-        inst = _load_instance(args.instance, args)
+        inst = reference_load_instance(args.instance, args)
         n, grid = _load_solution(args.solution)
         if n != inst.n or len(grid) != n or any(len(row) != n for row in grid):
             raise ValueError("solution dimensions do not match the instance")
@@ -130,6 +173,65 @@ class TestVerifyMatchesInterning:
             ))
         event(" ".join(out.getvalue().split()[:2]) or err.getvalue().split()[0])
         assert call(*argv) == (code, out.getvalue(), err.getvalue())
+
+
+# Cells of every kind a JSON document can hold: label arrays with
+# duplicates, NaN and 1/true/1.0 among them, empty arrays, arrays holding
+# an array or object, strings, objects, numbers and null.
+ODD_CELLS = (
+    st.just([])
+    | st.lists(LABELS | UNHASHABLE, min_size=1, max_size=3)
+    | st.sampled_from(["ab", "", {"a": ["b"]}, {}, 0, 1, 2.5, True, None, NAN])
+)
+
+
+@st.composite
+def lists_documents(draw):
+    """An instance of label cells with now and then an odd cell, a row one
+    cell short or long, or a row that is not an array."""
+    n = draw(st.integers(0, 4))
+    lists = []
+    for _ in range(n):
+        row = [
+            draw(ODD_CELLS if draw(st.integers(0, 19)) == 0
+                 else st.lists(LABELS, min_size=1, max_size=4))
+            for _ in range(n)
+        ]
+        fault = draw(st.sampled_from([None] * 14 + ["short", "long", "odd"]))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append(draw(st.lists(LABELS, min_size=1, max_size=2)))
+        elif fault == "odd":
+            row = draw(st.sampled_from(["a" * n, {"a": []}, n, None, True]))
+        lists.append(row)
+    return {"n": n, "lists": lists}
+
+
+def load(loader, path, quiet):
+    """What loader reports: its lists and labels, or its exception, and
+    its stderr."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            inst = loader(path, argparse.Namespace(quiet=quiet))
+        except Exception as exc:  # compared, not handled
+            outcome = (type(exc), str(exc))
+        else:  # repr tells 1, True and 1.0 apart, and NaN equals itself
+            outcome = (inst.lists, list(map(repr, inst.labels)))
+    return outcome, err.getvalue()
+
+
+class TestLoadInstanceMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=lists_documents(), quiet=st.booleans())
+    def test_same_instance_error_and_warnings(self, doc, quiet, tmp_path_factory):
+        path = write(tmp_path_factory.mktemp("load"), "i.json", json.dumps(doc))
+        expected = load(reference_load_instance, path, quiet)
+        outcome, err = expected
+        event(("loaded" if isinstance(outcome[0], tuple) else "refused")
+              + (", warned" if err else ""))
+        assert load(_load_instance, path, quiet) == expected
 
 
 # --- exit-code contract on arbitrary input --------------------------------
