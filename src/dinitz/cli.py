@@ -40,7 +40,7 @@ import random
 import sys
 from types import SimpleNamespace
 
-from .digraph import MAX_VERTICES, Digraph, format_digraph, parse_digraph
+from .digraph import MAX_EDGES, MAX_VERTICES, Digraph, format_digraph, parse_digraph
 from .galvin import (
     DinitzInstance,
     KernelOracleError,
@@ -311,16 +311,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_orient(args: argparse.Namespace) -> int:
     if args.n < 0:
         return _error("n must be non-negative")
-    if args.n * args.n > MAX_VERTICES:  # parse_digraph would refuse the output
-        return _error(
-            f"n = {args.n} gives {args.n * args.n} vertices, "
-            f"above the limit of {MAX_VERTICES}"
-        )
+    edges = args.n * args.n * (args.n - 1)
+    if edges > MAX_EDGES:  # parse_digraph would refuse the output
+        return _error(f"n = {args.n} gives {edges} edges, above the limit of {MAX_EDGES}")
     _write_stdout(format_digraph(build_square_orientation(args.n)))
     return EXIT_OK
 
 
 def cmd_propx(args: argparse.Namespace) -> int:
+    if args.max_vertices < 0:
+        return _error("--max-vertices must be non-negative")
     try:
         g = _load_digraph(args.graph, min(args.max_vertices, MAX_VERTICES))
         report = has_property_x(g, cap=args.max_vertices)

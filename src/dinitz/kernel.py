@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, vertex_subset
+from .digraph import Digraph, _mask, vertex_subset
 
 DEFAULT_KERNEL_CAP = 24
 DEFAULT_AUDIT_CAP = 20
@@ -65,13 +65,7 @@ def is_kernel(g: Digraph, s: Iterable[int], s_prime: Iterable[int]) -> bool:
     sp_set = frozenset(s_prime)
     if not sp_set <= s_set:
         raise ValueError(f"s_prime contains vertices outside s: {sorted(sp_set - s_set)}")
-    s_mask = 0
-    for v in s_set:
-        s_mask |= 1 << v
-    sp_mask = 0
-    for v in sp_set:
-        sp_mask |= 1 << v
-    return _is_kernel_mask(g.out_masks, g.adj_masks, s_mask, sp_mask)
+    return _is_kernel_mask(g.out_masks, g.adj_masks, _mask(s_set), _mask(sp_set))
 
 
 def find_kernel_bruteforce(
@@ -79,37 +73,35 @@ def find_kernel_bruteforce(
 ) -> frozenset[int] | None:
     """Exhaustively search for a kernel of s; None if no kernel exists.
 
-    Enumerates every subset of s in increasing bitmask order and returns
-    the first kernel found, which is therefore the one with the smallest
-    bitmask value.  The empty set is the (vacuous) kernel of an empty s.
+    Walks the sub-masks of s's bitmask upward from 0 and returns the
+    first kernel found, which is therefore the kernel with the smallest
+    bitmask value (not the lexicographically smallest vertex list).  The
+    empty set is the (vacuous) kernel of an empty s.  Raises ValueError
+    for an s of more than ``cap`` vertices.
     """
-    members = sorted(vertex_subset(g, s))
-    k = len(members)
-    if k > cap:
-        raise ValueError(f"subset has {k} vertices, exceeding the cap of {cap}")
-    if k == 0:
-        return frozenset()
+    members = vertex_subset(g, s)
+    if len(members) > cap:
+        raise ValueError(
+            f"subset has {len(members)} vertices, exceeding the cap of {cap}"
+        )
     out_masks, adj_masks = g.out_masks, g.adj_masks
-    member_bits = [1 << v for v in members]
-    s_mask = 0
-    for b in member_bits:
-        s_mask |= b
-    for p in range(1 << k):
-        sp_mask = 0
-        for i in range(k):
-            if p >> i & 1:
-                sp_mask |= member_bits[i]
-        if _is_kernel_mask(out_masks, adj_masks, s_mask, sp_mask):
-            return frozenset(members[i] for i in range(k) if p >> i & 1)
-    return None
+    s_mask = _mask(members)
+    sub = 0
+    while not _is_kernel_mask(out_masks, adj_masks, s_mask, sub):
+        sub = (sub - s_mask) & s_mask  # the next sub-mask up; 0 after s_mask
+        if not sub:
+            return None
+    return frozenset(_bits(sub))
 
 
 def has_property_x(g: Digraph, cap: int = DEFAULT_AUDIT_CAP) -> PropertyXReport:
     """Audit whether every vertex subset of g has a kernel.
 
     Enumerates all 2^n subsets in increasing bitmask order and stops at
-    the first subset with no kernel.  Deliberately exponential; refuse
-    graphs above ``cap`` vertices rather than truncating silently.
+    the first subset with no kernel.  Each subset's sub-masks are walked
+    downward from the subset itself, which is its own kernel whenever it
+    is independent.  Deliberately exponential; refuse graphs above
+    ``cap`` vertices rather than truncating silently.
     """
     n = g.num_vertices
     if n > cap:
@@ -117,15 +109,8 @@ def has_property_x(g: Digraph, cap: int = DEFAULT_AUDIT_CAP) -> PropertyXReport:
     out_masks, adj_masks = g.out_masks, g.adj_masks
     for count, s_mask in enumerate(range(1 << n), start=1):
         sub = s_mask
-        found = False
-        while True:
-            if _is_kernel_mask(out_masks, adj_masks, s_mask, sub):
-                found = True
-                break
-            if sub == 0:
-                break
+        while not _is_kernel_mask(out_masks, adj_masks, s_mask, sub):
+            if not sub:
+                return PropertyXReport(False, frozenset(_bits(s_mask)), count)
             sub = (sub - 1) & s_mask
-        if not found:
-            witness = frozenset(_bits(s_mask))
-            return PropertyXReport(False, witness, count)
     return PropertyXReport(True, None, 1 << n)

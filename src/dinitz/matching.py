@@ -9,7 +9,6 @@ what they currently hold.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -61,35 +60,27 @@ class PreferenceProfile:
 def deferred_acceptance(p: PreferenceProfile) -> frozenset[Pair]:
     """Row-proposing deferred acceptance; returns the row-optimal stable matching.
 
-    The lowest-id free row proposes next, to its best allowed partner it
-    has not proposed to yet.  A column holds its best proposal so far and
-    trades up when a preferred row arrives.  Each allowed pair is
-    proposed at most once, so the loop runs at most |allowed| rounds, and
-    the result is deterministic.
+    Rows in ascending id each start a proposal chain.  A row proposes to
+    its best allowed column it has not proposed to yet; a column holds
+    its best proposal so far and trades up when a preferred row arrives,
+    and the row it lets go proposes next.  A chain ends when a free
+    column takes its row or a row runs out of columns.  Each allowed
+    pair is proposed at most once, so there are at most |allowed|
+    proposals.  Every proposal order gives the same matching, because
+    the row-optimal stable matching is unique.
     """
     prefs: dict[int, list[int]] = {}
     for r, c in p.allowed:
         prefs.setdefault(r, []).append(c)
-    for r, cols in prefs.items():
-        cols.sort(key=lambda c: p.row_rank[(r, c)])
-    next_choice = {r: 0 for r in prefs}
+    for r, cols in prefs.items():  # worst first, so pop() gives the next best
+        cols.sort(key=lambda c: p.row_rank[(r, c)], reverse=True)
     holder: dict[int, int] = {}
-    free = list(prefs)
-    heapq.heapify(free)
-    while free:
-        r = heapq.heappop(free)
-        if next_choice[r] >= len(prefs[r]):
-            continue
-        c = prefs[r][next_choice[r]]
-        next_choice[r] += 1
-        current = holder.get(c)
-        if current is None:
-            holder[c] = r
-        elif p.col_rank[(r, c)] < p.col_rank[(current, c)]:
-            holder[c] = r
-            heapq.heappush(free, current)
-        else:
-            heapq.heappush(free, r)
+    for r in sorted(prefs):
+        while r is not None and prefs[r]:
+            c = prefs[r].pop()
+            current = holder.get(c)
+            if current is None or p.col_rank[(r, c)] < p.col_rank[(current, c)]:
+                holder[c], r = r, current
     return frozenset((r, c) for c, r in holder.items())
 
 

@@ -18,7 +18,7 @@ from dinitz import (
 )
 from dinitz import cli
 from dinitz.cli import main
-from dinitz.digraph import MAX_VERTICES
+from dinitz.digraph import MAX_EDGES, MAX_VERTICES
 from dinitz.kernel import DEFAULT_KERNEL_CAP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,13 +114,7 @@ class TestGen:
         ids=["universe", "lists", "grid"],
     )
     def test_sizes_above_the_label_budget_are_exit_2_in_bounded_memory(self, argv):
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "dinitz.cli", "gen", *argv], capture_output=True,
-            text=True, env=cli_env(False), preexec_fn=limit_memory, timeout=60,
-        )
+        proc = run_limited(["gen", *argv], 800 << 20)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
@@ -421,19 +415,28 @@ class TestOrient:
         pairs = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
         assert pairs == sorted(pairs)
 
-    def test_size_above_the_vertex_cap_is_exit_2(self, capsys, monkeypatch):
+    @staticmethod
+    def largest_admitted():
+        """The largest N whose N^2 (N - 1) edges fit the edge budget."""
+        n = 1
+        while (n + 1) ** 2 * n <= MAX_EDGES:
+            n += 1
+        return n
+
+    def test_size_above_the_edge_budget_is_exit_2(self, capsys, monkeypatch):
         def refuse(n):
             raise AssertionError("build_square_orientation was called")
 
         monkeypatch.setattr("dinitz.cli.build_square_orientation", refuse)
-        code, out, err = run(capsys, "orient", "513")
+        n = self.largest_admitted() + 1
+        code, out, err = run(capsys, "orient", str(n))
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: n = 513 gives {513 * 513} vertices, above the limit of {MAX_VERTICES}\n"
+            f"error: n = {n} gives {n * n * (n - 1)} edges, above the limit of {MAX_EDGES}\n"
         )
 
-    def test_size_at_the_vertex_cap_is_built(self, capsys, monkeypatch):
+    def test_size_at_the_edge_budget_is_built(self, capsys, monkeypatch):
         built = []
 
         def record(n):
@@ -441,8 +444,24 @@ class TestOrient:
             return make_digraph(0, [])
 
         monkeypatch.setattr("dinitz.cli.build_square_orientation", record)
-        assert run(capsys, "orient", "512")[0] == 0
-        assert built == [512] and 512 * 512 == MAX_VERTICES
+        n = self.largest_admitted()
+        assert run(capsys, "orient", str(n))[0] == 0
+        assert built == [n]
+
+    def test_the_edge_budget_refuses_every_size_above_the_vertex_cap(self):
+        # 512 * 512 vertices is parse_digraph's cap, so the edge budget is
+        # the only size rule orient needs.
+        assert 512 * 512 == MAX_VERTICES
+        assert self.largest_admitted() < 512
+
+    @pytest.mark.parametrize("n", ["200", "512", "513"])
+    def test_sizes_above_the_edge_budget_are_exit_2_in_bounded_memory(self, n):
+        # At 1 GB of address space, 'orient 200' ran out of memory with a
+        # MemoryError traceback before the edge budget.
+        proc = run_limited(["orient", n])
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: n = {n} gives ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestPropx:
@@ -467,6 +486,18 @@ class TestPropx:
         bad.write_text("totally not a graph")
         assert run(capsys, "propx", str(bad))[0] == 2
 
+    def test_negative_max_vertices_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dinitz.cli._load_digraph", refuse_to_load)
+        path = write_graph(tmp_path, build_square_orientation(3))
+        code, out, err = run(capsys, "propx", path, "--max-vertices", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-vertices must be non-negative\n"
+
+    def test_zero_max_vertices_admits_the_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert run(capsys, "propx", str(path), "--max-vertices", "0")[:2] == (0, "holds\n")
+
     def test_cap_is_checked_before_the_edges(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dinitz.digraph.make_digraph", refuse_to_build)
         path = tmp_path / "big.txt"
@@ -474,6 +505,18 @@ class TestPropx:
         code, _, err = run(capsys, "propx", str(path), "--max-vertices", "20")
         assert code == 2
         assert err == "error: header declares 21 vertices, above the limit of 20\n"
+
+    @pytest.mark.parametrize("command", [["propx"], ["kernel", "0"]])
+    def test_header_above_the_edge_budget_is_exit_2_in_bounded_memory(
+        self, command, tmp_path
+    ):
+        path = tmp_path / "many.txt"
+        path.write_text(f"4 {MAX_EDGES + 1}\n0 x\n")  # a bad edge the budget preempts
+        proc = run_limited([command[0], str(path), *command[1:]])
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == (
+            f"error: header declares {MAX_EDGES + 1} edges, above the limit of {MAX_EDGES}\n"
+        )
 
     @pytest.mark.parametrize(
         "command", [["propx", "--max-vertices", str(1 << 30)], ["kernel", "0"]]
@@ -491,6 +534,10 @@ class TestPropx:
 
 def refuse_to_build(num_vertices, edges):
     raise AssertionError("make_digraph was called")
+
+
+def refuse_to_load(*args):
+    raise AssertionError("the graph was read")
 
 
 class TestKernel:
@@ -640,6 +687,19 @@ def cli_env(unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def run_limited(argv, limit=1 << 30):
+    """Run the dinitz command in a child limited to ``limit`` bytes of
+    address space, so that a size check that fails ends in a MemoryError
+    instead of exhausting the host."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "dinitz.cli", *argv], capture_output=True, text=True,
+        env=cli_env(False), preexec_fn=limit_memory, timeout=60,
+    )
 
 
 class TestImportBoundary:

@@ -15,7 +15,7 @@ from dinitz import (
     verify_list_coloring,
 )
 
-from dinitz.digraph import MAX_VERTICES
+from dinitz.digraph import MAX_EDGES, MAX_VERTICES
 from strategies import digraphs, digraphs_with_subsets
 
 
@@ -215,6 +215,30 @@ class TestTextFormat:
 
     def test_header_at_the_limit_accepted(self):
         assert parse_digraph("3 1\n0 2\n", 3).edges == {(0, 2)}
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"4 {MAX_EDGES + 1}\n", f"4 {MAX_EDGES + 1}\n0 x\n", f"4 {10 ** 30}\n0 1\n"],
+    )
+    def test_edges_above_the_budget_rejected_before_the_body(self, text, monkeypatch):
+        def refuse(num_vertices, edges):
+            raise AssertionError("make_digraph was called")
+
+        monkeypatch.setattr("dinitz.digraph.make_digraph", refuse)
+        m = text.split()[1]
+        message = rf"^header declares {m} edges, above the limit of {MAX_EDGES}$"
+        with pytest.raises(ValueError, match=message):
+            parse_digraph(text)
+
+    def test_vertex_limit_is_checked_before_the_edge_budget(self):
+        with pytest.raises(ValueError, match="declares 4 vertices"):
+            parse_digraph(f"4 {MAX_EDGES + 1}\n", 3)
+
+    def test_edges_at_the_budget_accepted(self, monkeypatch):
+        monkeypatch.setattr("dinitz.digraph.MAX_EDGES", 2)
+        assert parse_digraph("3 2\n0 1\n1 2\n").edges == {(0, 1), (1, 2)}
+        with pytest.raises(ValueError, match="declares 3 edges, above the limit of 2$"):
+            parse_digraph("3 3\n0 1\n1 2\n0 2\n")
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(BidirectionalEdgeError):

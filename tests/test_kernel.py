@@ -10,6 +10,7 @@ from dinitz import (
     is_kernel,
     make_digraph,
 )
+from dinitz.kernel import _is_kernel_mask
 
 from strategies import digraphs, digraphs_with_subsets
 
@@ -32,6 +33,10 @@ def kernel_naive(g, s, s_prime):
         if not any((v, w) in g.edges for w in s_prime):
             return False
     return True
+
+
+def mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def all_kernels_naive(g, s):
@@ -118,7 +123,7 @@ class TestFindKernelBruteforce:
         naive = all_kernels_naive(g, s)
         assert (found is None) == (not naive)
         if found is not None:
-            assert found in naive
+            assert found == min(naive, key=mask)
 
 
 class TestCycleKernels:
@@ -161,6 +166,20 @@ class TestHasPropertyX:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             has_property_x(make_digraph(21, []), cap=20)
+
+    def test_walks_each_subset_down_from_itself(self, monkeypatch):
+        # Every subset of an edgeless graph is its own and only kernel, so
+        # a downward walk checks one candidate per subset: 2**10 checks,
+        # against 3**10 for a walk upward from the empty set.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _is_kernel_mask(*args)
+
+        monkeypatch.setattr("dinitz.kernel._is_kernel_mask", counting)
+        assert has_property_x(make_digraph(10, [])).holds
+        assert len(calls) == 2 ** 10
 
     @given(digraphs(max_vertices=6))
     @settings(max_examples=60)
