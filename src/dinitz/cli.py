@@ -8,10 +8,14 @@ solution, failed audit, no kernel) or an internal solver defect, 2 for
 usage and input errors.  Warnings go to stderr; stdout carries only
 machine-readable output.
 
-``verify`` checks the parsed label lists directly: every test it makes
-(row repeats, column repeats, list membership) runs on the labels with
-Python equality, as interning would, so it never builds the interned
-instance that ``solve`` needs.
+``verify`` checks the label lists directly: every test it makes (row
+repeats, column repeats, list membership) runs on the labels with Python
+equality, as interning would, so it never builds the interned instance
+that ``solve`` needs.  An instance laid out as ``gen`` writes it is
+decoded one row at a time, each row checked and dropped before the next;
+any other text, and any instance with a fault, is parsed whole, which
+supplies the error text.  Each file is read once, so either may be a
+pipe.
 
 ``kernel --mode gs-square`` accepts a graph only if it equals the
 orientation ``orient`` prints for its side length.  A reader that
@@ -37,6 +41,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -44,6 +49,7 @@ from .digraph import MAX_EDGES, MAX_VERTICES, Digraph, format_digraph, parse_dig
 from .galvin import (
     DinitzInstance,
     KernelOracleError,
+    LatinReport,
     UndersizedListError,
     build_square_orientation,
     solve_dinitz,
@@ -56,11 +62,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-# gen refuses n * n * list size + universe size above this many labels:
-# it holds every drawn label, the universe and the JSON text at once,
-# about 105 B per label at peak on 64-bit CPython 3.11 (119 MB at
-# n = 100, against 15 MB for n = 0), so about 0.9 GB here.  n = 200 at
-# the default sizes fits.
+# gen refuses n * n * list size + universe size above this many labels.
+# It holds the universe's label strings and one row of the grid at a
+# time: on 64-bit CPython 3.11 a universe at the limit takes 594 MB,
+# while n = 200 at the default sizes, which fits, peaks at 21 MB and
+# writes 127 MB.
 MAX_GEN_LABELS = 1 << 23
 
 
@@ -90,44 +96,64 @@ def _write_stdout(text: str) -> None:
         data = data[binary.write(data):]
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
+def _read_json(path: str, text: str | None = None):
+    """The JSON document in the file at ``path``, or in ``text``, the
+    file's text, when it has been read already."""
+    try:
+        if text is not None:
+            return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nesting too deep") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting too deep") from None
+
+
+def _check_row(path: str, n: int, i: int, row, warn, interned=None) -> list:
+    """Check row ``i`` of an instance's lists: it must be an array of ``n``
+    cells, a cell a non-empty array of labels none of which is an array
+    or object.  Call ``warn`` with a message for each cell that repeats a
+    label, and raise ValueError at the first fault.  Return the row's
+    cells as sets of labels, or as the cells of ``interned``, the row
+    interned, when it is given.
+    """
+    if not isinstance(row, list) or len(row) != n:
+        raise ValueError(f"{path}: row {i} must be an array of {n} cells")
+    cells = []
+    for j, cell in enumerate(row):
+        if not isinstance(cell, list) or not cell:
+            raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
+        try:
+            distinct = set(cell) if interned is None else interned[j]
+        except TypeError:
+            raise ValueError(
+                f"{path}: cell ({i}, {j}) has an array or object as a color label"
+            ) from None
+        if len(distinct) != len(cell):
+            warn(f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+        cells.append(distinct)
+    return cells
 
 
 def _check_lists(
     path: str, n: int, lists: list, args: argparse.Namespace,
     interned: DinitzInstance | None = None,
 ) -> None:
-    """Check each row and cell of ``lists`` in row-major order: a row must
-    be an array of ``n`` cells, a cell a non-empty array of labels none of
-    which is an array or object.  Warn about each cell that repeats a
-    label, and raise ValueError at the first fault.  A cell's distinct
-    labels are counted from ``interned``, the DinitzInstance interned from
-    ``lists``, when it is given.
+    """Check each row of ``lists`` in order with _check_row, warning as it
+    goes.  A cell's distinct labels are counted from ``interned``, the
+    DinitzInstance interned from ``lists``, when it is given.
     """
+    def warn(message: str) -> None:
+        _warn(args, message)
+
     for i, row in enumerate(lists):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"{path}: row {i} must be an array of {n} cells")
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list) or not cell:
-                raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
-            try:
-                distinct = len(set(cell) if interned is None else interned.lists[i][j])
-            except TypeError:
-                raise ValueError(
-                    f"{path}: cell ({i}, {j}) has an array or object as a color label"
-                ) from None
-            if distinct != len(cell):
-                _warn(args, f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+        _check_row(path, n, i, row, warn, None if interned is None else interned.lists[i])
 
 
-def _read_doc(path: str, kind: str, field: str) -> tuple[int, object]:
+def _read_doc(
+    path: str, kind: str, field: str, text: str | None = None
+) -> tuple[int, object]:
     """The 'n', a non-negative integer, and the ``field`` of a JSON object."""
-    data = _read_json(path)
+    data = _read_json(path, text)
     if not isinstance(data, dict) or "n" not in data or field not in data:
         raise ValueError(f"{path}: {kind} JSON needs fields 'n' and '{field}'")
     n = data["n"]
@@ -136,10 +162,10 @@ def _read_doc(path: str, kind: str, field: str) -> tuple[int, object]:
     return n, data[field]
 
 
-def _read_instance(path: str) -> tuple[int, list]:
+def _read_instance(path: str, text: str | None = None) -> tuple[int, list]:
     """The instance's 'n' and its 'lists' array of n rows, unchecked below
     the rows."""
-    n, lists = _read_doc(path, "instance", "lists")
+    n, lists = _read_doc(path, "instance", "lists", text)
     if not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"{path}: 'lists' must be an array of {n} rows")
     return n, lists
@@ -168,6 +194,109 @@ def _load_solution(path: str) -> tuple[int, list]:
     if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
         raise ValueError(f"{path}: 'grid' must be an array of arrays")
     return n, grid
+
+
+def _check_grid(path: str, solution, n: int) -> list:
+    """The grid of ``solution``, what _load_solution returned for the file
+    at ``path`` or the exception it raised, once it is an n x n array of
+    hashable labels."""
+    if isinstance(solution, Exception):
+        raise solution
+    grid_n, grid = solution
+    if grid_n != n or len(grid) != n or any(len(row) != n for row in grid):
+        raise ValueError("solution dimensions do not match the instance")
+    try:
+        hash(tuple(map(tuple, grid)))  # JSON arrays and objects are unhashable
+    except TypeError:
+        raise ValueError(f"{path}: 'grid' has an array or object as a color label") from None
+    return grid
+
+
+# Whitespace as JSON, and the json module, read it.
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _gen_layout(text: str):
+    """Walk instance text laid out as ``gen`` writes it: an object whose
+    first key is "n", a non-negative integer, and whose second is "lists",
+    each key of it given once.  Yield 'n', then each row of 'lists',
+    decoded one at a time, and read the rest of the text after the last
+    row.  Raise ValueError wherever the text leaves that layout, a syntax
+    error included.
+    """
+    decode = json.JSONDecoder().raw_decode
+    skip = _SPACE.match
+
+    def expect(pos: int, char: str) -> int:
+        if not text.startswith(char, pos):
+            raise ValueError(f"not the {char!r} of gen's layout")
+        return skip(text, pos + 1).end()
+
+    def value(pos: int):
+        found, end = decode(text, pos)
+        return found, skip(text, end).end()
+
+    key, pos = value(expect(skip(text).end(), "{"))
+    if key != "n":
+        raise ValueError("not the keys of gen's layout")
+    n, pos = value(expect(pos, ":"))
+    if type(n) is not int or n < 0:
+        raise ValueError("not the 'n' of gen's layout")
+    yield n
+    key, pos = value(expect(pos, ","))
+    if key != "lists":
+        raise ValueError("not the keys of gen's layout")
+    pos = expect(expect(pos, ":"), "[")
+    for i in range(n):
+        row, pos = value(expect(pos, ",") if i else pos)
+        yield row
+    pos = expect(pos, "]")
+    keys = {"n", "lists"}
+    while not text.startswith("}", pos):
+        key, pos = value(expect(pos, ","))
+        if not isinstance(key, str) or key in keys:
+            raise ValueError("not the keys of gen's layout")
+        keys.add(key)
+        _, pos = value(expect(pos, ":"))
+    if expect(pos, "}") != len(text):
+        raise ValueError("text after gen's layout")
+
+
+def _verify_streamed(
+    args: argparse.Namespace, text: str, solution
+) -> LatinReport | None:
+    """The verdict on ``solution`` (as _check_grid takes it) from the
+    instance ``text`` laid out as ``gen`` writes it, held one row at a
+    time; None, with nothing printed, for any other text or an instance
+    with a fault.
+
+    The sets of labels that _check_row builds for a row also answer
+    whether the row's colors are on their lists.  The solution's errors
+    are raised after the instance passes.
+    """
+    warnings: list[str] = []
+    try:
+        layout = _gen_layout(text)
+        n = next(layout)
+        try:
+            grid, grid_error = _check_grid(args.solution, solution, n), None
+        except (OSError, ValueError) as exc:
+            grid, grid_error = None, exc
+        # Each cell cut down to the solution's color if it holds it, so
+        # that verify_generalized_latin gives the verdict the whole lists
+        # would.
+        held = []
+        for i, row in enumerate(layout):
+            cells = _check_row(args.instance, n, i, row, warnings.append)
+            if grid is not None:
+                held.append([(c,) if c in cell else () for c, cell in zip(grid[i], cells)])
+    except (ValueError, RecursionError):
+        return None
+    for message in warnings:
+        _warn(args, message)
+    if grid_error is not None:
+        raise grid_error
+    return verify_generalized_latin(SimpleNamespace(n=n, lists=held), grid)
 
 
 def _write_json(path: str, doc) -> None:
@@ -247,17 +376,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return _error("lists must be non-empty for a non-empty grid")
     labels = [f"c{k}" for k in range(universe_size)]
     rng = random.Random(args.seed)
-    lists = [[rng.sample(labels, list_size) for _ in range(n)] for _ in range(n)]
-    doc = {
-        "n": n,
-        "lists": lists,
-        "meta": {
-            "seed": args.seed,
-            "universe_size": universe_size,
-            "list_size": list_size,
-        },
-    }
-    _write_stdout(json.dumps(doc, indent=2) + "\n")
+    meta = {"seed": args.seed, "universe_size": universe_size, "list_size": list_size}
+    # The text of json.dumps({"n": n, "lists": rows, "meta": meta}, indent=2),
+    # a row at a time: each row is indented two levels deeper than alone.
+    _write_stdout(f'{{\n  "n": {n},\n  "lists": [')
+    for i in range(n):
+        row = json.dumps([rng.sample(labels, list_size) for _ in range(n)], indent=2)
+        _write_stdout(("," if i else "") + "\n    " + row.replace("\n", "\n    "))
+    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    _write_stdout(("\n  ]" if n else "]") + f',\n  "meta": {meta_text}\n}}\n')
     return EXIT_OK
 
 
@@ -281,19 +408,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Each file is read once, so that either may be a pipe; the solution's
+    # errors are reported after the instance's.
     try:
-        n, lists = _read_instance(args.instance)
-        _check_lists(args.instance, n, lists, args)
-        grid_n, grid = _load_solution(args.solution)
-        if grid_n != n or len(grid) != n or any(len(row) != n for row in grid):
-            raise ValueError("solution dimensions do not match the instance")
-        try:
-            hash(tuple(map(tuple, grid)))  # JSON arrays and objects are unhashable
-        except TypeError:
-            raise ValueError(
-                f"{args.solution}: 'grid' has an array or object as a color label"
-            ) from None
-        report = verify_generalized_latin(SimpleNamespace(n=n, lists=lists), grid)
+        solution = _load_solution(args.solution)
+    except (OSError, ValueError) as exc:
+        solution = exc
+    try:
+        with open(args.instance, encoding="utf-8") as fh:
+            text = fh.read()
+        report = _verify_streamed(args, text, solution)
+        if report is None:
+            n, lists = _read_instance(args.instance, text)
+            _check_lists(args.instance, n, lists, args)
+            grid = _check_grid(args.solution, solution, n)
+            report = verify_generalized_latin(SimpleNamespace(n=n, lists=lists), grid)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
     if report.valid:

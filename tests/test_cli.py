@@ -1,6 +1,9 @@
 import gc
+import hashlib
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -157,6 +160,35 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err == f"error: {reported} must be non-negative\n"
+
+    # random.sample copies a population into a pool when it is no larger
+    # than 21 + 4 ** ceil(log4(3k)) for k > 5, or 21 for k <= 5, and
+    # otherwise keeps a set of the indices it picked.
+    @pytest.mark.parametrize("seed", [0, 1, 4099, -7])
+    @pytest.mark.parametrize(
+        "n, universe_size, list_size",
+        [(0, 0, 0), (1, 3, 1), (5, 15, 5), (12, 36, 12), (6, 40, 3), (9, 100, 9),
+         (20, 60, 20), (7, 8, 3)],
+        ids=["n0", "n1", "pool-5", "pool-12", "set-3", "set-9", "pool-20", "undersized"],
+    )
+    def test_output_is_the_whole_document_dump(
+        self, n, universe_size, list_size, seed, capsys
+    ):
+        """gen writes a row at a time the bytes it wrote when it dumped the
+        whole document at once."""
+        labels = [f"c{k}" for k in range(universe_size)]
+        rng = random.Random(seed)
+        lists = [[rng.sample(labels, list_size) for _ in range(n)] for _ in range(n)]
+        doc = {"n": n, "lists": lists, "meta": {
+            "seed": seed, "universe_size": universe_size, "list_size": list_size,
+        }}
+        expected = json.dumps(doc, indent=2) + "\n"
+        code, out, _ = run(capsys, "gen", "--n", str(n), "--seed", str(seed),
+                           "--universe-size", str(universe_size),
+                           "--list-size", str(list_size), "--allow-undersized")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            hashlib.sha256(expected.encode()).hexdigest()
 
 
 class TestSolveAndVerify:
@@ -356,15 +388,19 @@ class TestSolveAndVerify:
         assert code == 1
         assert "(0, 0)" in out
 
-    @pytest.mark.parametrize("deep", ["instance", "verify-instance", "verify-solution"])
+    @pytest.mark.parametrize(
+        "deep", ["instance", "verify-instance", "verify-instance-row", "verify-solution"]
+    )
     def test_deeply_nested_json_is_exit_2(self, deep, tmp_path, capsys):
         nested = tmp_path / "deep.json"
-        nested.write_text("[" * 100_000)
+        # a row nested too deep, inside the layout that verify streams
+        head = '{"n": 1, "lists": [' if deep == "verify-instance-row" else ""
+        nested.write_text(head + "[" * 100_000)
         good = write_json(tmp_path, {"n": 1, "lists": [[["a"]]]}, "i.json")
         sol = write_json(tmp_path, {"n": 1, "grid": [["a"]]}, "s.json")
         if deep == "instance":
             argv = ["solve", str(nested), str(tmp_path / "out.json")]
-        elif deep == "verify-instance":
+        elif deep.startswith("verify-instance"):
             argv = ["verify", str(nested), sol]
         else:
             argv = ["verify", good, str(nested)]
@@ -392,6 +428,137 @@ class TestSolveAndVerify:
         inst = write_json(tmp_path, instance, "i.json")
         sol = write_json(tmp_path, {"n": 1, "grid": [["a"]]}, "s.json")
         assert run(capsys, "verify", inst, sol)[0] == 2
+
+
+NAN = math.nan
+
+
+class TestVerifyStream:
+    """verify decodes an instance laid out as gen writes it one row at a
+    time, and reads any other text whole with json.load."""
+
+    def read_instance_calls(self, monkeypatch):
+        calls = []
+
+        def spy(path, *rest):
+            calls.append(path)
+            return read_instance(path, *rest)
+
+        read_instance = cli._read_instance
+        monkeypatch.setattr(cli, "_read_instance", spy)
+        return calls
+
+    def test_gen_output_is_streamed(self, tmp_path, capsys, monkeypatch):
+        code, out, _ = run(capsys, "gen", "--n", "5", "--seed", "3")
+        inst = tmp_path / "i.json"
+        inst.write_text(out)
+        sol = str(tmp_path / "s.json")
+        assert run(capsys, "solve", str(inst), sol) == (0, "", "")
+        calls = self.read_instance_calls(monkeypatch)
+        assert run(capsys, "verify", str(inst), sol) == (0, "valid\n", "")
+        assert calls == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("piped", ["instance", "solution"])
+    @pytest.mark.parametrize("layout", ["gen", "sorted", "meta-twice"])
+    def test_reads_each_file_once(self, piped, layout, tmp_path, capsys):
+        """Either file may be a pipe, as a shell's <(...) gives: verify reads
+        each once, whether it streams the instance or reads it whole."""
+        lists = [[["a", "b"], ["b", "a"]], [["a", "b"], ["a", "b"]]]
+        texts = {
+            "instance": {
+                "gen": json.dumps({"n": 2, "lists": lists, "meta": {}}, indent=2),
+                "sorted": json.dumps({"n": 2, "lists": lists}, sort_keys=True),
+                "meta-twice": f'{{"n": 2, "lists": {json.dumps(lists)}, "meta": 1, "meta": 2}}',
+            }[layout],
+            "solution": json.dumps({"n": 2, "grid": [["a", "b"], ["b", "a"]]}),
+        }
+        paths = {}
+        for name, text in texts.items():
+            if name == piped:
+                read_end, write_end = os.pipe()
+                os.write(write_end, text.encode())
+                os.close(write_end)
+                paths[name] = f"/dev/fd/{read_end}"
+            else:
+                (tmp_path / name).write_text(text)
+                paths[name] = str(tmp_path / name)
+        try:
+            assert run(capsys, "verify", paths["instance"], paths["solution"]) == (
+                0, "valid\n", ""
+            )
+        finally:
+            os.close(read_end)
+
+    # (lists, grid, stdout, whether the first cell warns of duplicates).
+    # json hands back one shared NaN object, so a NaN label is one color
+    # by identity; 1, true and 1.0 are one color, and so are 0, -0.0 and
+    # false; null is a color of its own.
+    @pytest.mark.parametrize("lists, grid, verdict, warns", [
+        ([[[NAN, "a"]]], [[NAN]], "valid", False),
+        ([[[NAN, "a"]] * 2] * 2, [[NAN, "a"], ["a", NAN]], "valid", False),
+        ([[[NAN, "a"]] * 2] * 2, [[NAN, NAN], ["a", "a"]],
+         "invalid: row 0 has repeated colors", False),
+        ([[[NAN, NAN]]], [[NAN]], "valid", True),
+        ([[[1]]], [[True]], "valid", False),
+        ([[[True, "a"]]], [[1.0]], "valid", False),
+        ([[[1, True, 1.0]]], [[1]], "valid", True),
+        ([[[1, 2]] * 2] * 2, [[1, 2], [2, 1.0]], "valid", False),
+        ([[[1, 2]] * 2] * 2, [[True, 1.0], [2, 1]],
+         "invalid: row 0 has repeated colors", False),
+        ([[[0]]], [[-0.0]], "valid", False),
+        ([[[False]]], [[0]], "valid", False),
+        ([[[0, -0.0, False]]], [[False]], "valid", True),
+        ([[[0, 1]] * 2] * 2, [[0, 1], [-0.0, 1.0]],
+         "invalid: column 0 has repeated colors", False),
+        ([[[None]]], [[None]], "valid", False),
+        ([[["null", 0, False]]], [[None]],
+         "invalid: cell (0, 0) uses a color not in its list", True),
+        ([[[None, 0]]], [[False]], "valid", False),
+    ])
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "whole"])
+    def test_labels_compare_as_before(
+        self, lists, grid, verdict, warns, streamed, tmp_path, capsys, monkeypatch
+    ):
+        n = len(grid)
+        inst = tmp_path / "i.json"
+        # sort_keys puts "lists" before "n": not the layout gen writes
+        inst.write_text(json.dumps({"n": n, "lists": lists}, sort_keys=not streamed))
+        sol = write_json(tmp_path, {"n": n, "grid": grid}, "s.json")
+        calls = self.read_instance_calls(monkeypatch)
+        code, out, err = run(capsys, "verify", str(inst), sol)
+        assert (code, out) == (0 if verdict == "valid" else 1, verdict + "\n")
+        assert err == (
+            f"warning: {inst}: cell (0, 0) has duplicate colors; deduplicated\n" * warns
+        )
+        assert len(calls) == (not streamed)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_verify_child_holds_one_row(self, tmp_path):
+        """At n = 100 the verify child peaked at 100.7 MB when it parsed the
+        whole instance and at 46.8 MB streaming it (CPython 3.11, x86-64
+        Linux).  A child's ru_maxrss starts at its parent's RSS, so a small
+        launcher process, not this one, starts it."""
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        dinitz = [sys.executable, "-m", "dinitz.cli"]
+        with open(inst, "w") as fh:
+            subprocess.run([*dinitz, "gen", "--n", "100", "--seed", "4099"], stdout=fh,
+                           env=cli_env(False), check=True, timeout=120)
+        subprocess.run([*dinitz, "solve", inst, sol], env=cli_env(False), check=True,
+                       timeout=120)
+        launcher = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, *dinitz, "verify", inst, sol],
+            capture_output=True, text=True, env=cli_env(False), timeout=120,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert peak_kib < 75 << 10
 
 
 class TestOrient:

@@ -1,6 +1,7 @@
 """Property tests of the command line: exit codes on arbitrary input,
-``dinitz verify`` against the interning path it replaced, and the
-instance loader against its earlier check, intern, recheck form."""
+``dinitz verify`` against the interning path it replaced and against the
+whole-document path its row stream replaced, and the instance loader
+against its earlier check, intern, recheck form."""
 
 import argparse
 import gc
@@ -8,6 +9,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,10 @@ def interning_verify(args: argparse.Namespace) -> int:
         report = verify_generalized_latin(inst, ids)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
+    return print_verdict(report)
+
+
+def print_verdict(report) -> int:
     if report.valid:
         print("valid")
         return 0
@@ -172,6 +178,130 @@ class TestVerifyMatchesInterning:
                 quiet=quiet, instance=inst, solution=sol
             ))
         event(" ".join(out.getvalue().split()[:2]) or err.getvalue().split()[0])
+        assert call(*argv) == (code, out.getvalue(), err.getvalue())
+
+
+def whole_document_verify(args: argparse.Namespace) -> int:
+    """``dinitz verify`` as it was before it streamed the instance: the
+    whole document through json.load, every row checked, then the
+    solution."""
+    try:
+        n, lists = _read_instance(args.instance)
+        reference_check_lists(args.instance, n, lists, args)
+        grid_n, grid = _load_solution(args.solution)
+        if grid_n != n or len(grid) != n or any(len(row) != n for row in grid):
+            raise ValueError("solution dimensions do not match the instance")
+        try:
+            hash(tuple(map(tuple, grid)))
+        except TypeError:
+            raise ValueError(
+                f"{args.solution}: 'grid' has an array or object as a color label"
+            ) from None
+        report = verify_generalized_latin(SimpleNamespace(n=n, lists=lists), grid)
+    except (OSError, ValueError) as exc:
+        return _error(str(exc))
+    return print_verdict(report)
+
+
+# Every label of verify_cases, and the infinities, which json writes as
+# the constants Infinity and -Infinity beside NaN.
+STREAM_LABELS = LABELS | st.sampled_from([math.inf, -math.inf])
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def document_texts(draw, doc: dict, field: str):
+    """The text of ``doc``: as gen writes it, compact, with extra
+    whitespace, with its keys reordered, one given twice or one not a
+    string, and now and then with one character deleted, inserted or
+    changed at a random offset or at its end."""
+    layout = draw(st.sampled_from(
+        ["gen", "gen", "compact", "spaced", "reordered", "sorted", "repeated", "repeated",
+         "odd key", "meta"]
+    ))
+    event(f"{field} {layout}")
+    meta = {"seed": draw(st.integers(0, 9)), "universe_size": 3, "list_size": NAN}
+    if layout == "gen":
+        text = json.dumps({**doc, "meta": meta}, indent=2) + "\n"
+    elif layout == "compact":
+        text = json.dumps(doc)
+    elif layout == "spaced":
+        items = draw(st.sampled_from([",", " ,", ",\n\t", "\r\n,  "]))
+        keys = draw(st.sampled_from([":", " : ", ":\r\n", "\t:"]))
+        text = draw(SPACE) + json.dumps(
+            doc, indent=draw(st.none() | st.integers(0, 3)), separators=(items, keys)
+        ) + draw(SPACE)
+    elif layout == "reordered":
+        text = json.dumps(dict(reversed(list(doc.items()))))
+    elif layout == "sorted":
+        text = json.dumps({**doc, "meta": meta}, sort_keys=True)
+    elif layout in ("repeated", "odd key"):
+        # json.load keeps the last value of a key, and refuses one not a string
+        key = draw(st.sampled_from(
+            ["n", field] if layout == "repeated" else ["meta", 5, None, []]
+        ))
+        value = draw(st.sampled_from(
+            [doc["n"], 0, 1, 2] if key == "n" else [doc[field], []] if key == field
+            else [meta]
+        ))
+        pairs = [(k, json.dumps(v)) for k, v in doc.items()] + [("meta", "{}")]
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, json.dumps(value)))
+        text = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+    else:  # keys beside 'n' and the field, before, between or after them
+        pairs = list(doc.items())
+        pairs.insert(draw(st.integers(0, 2)), ("meta", meta))
+        text = json.dumps(dict(pairs))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["delete", "insert", "change", "unclose", "append"]))
+        char = draw(st.sampled_from('[]{}",:0a- \\'))
+        event(f"{field} {edit}")
+        if edit == "unclose":  # the last bracket goes
+            text = text.rstrip()[:-1]
+        elif edit == "append":
+            text += char
+        else:
+            text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+    return text
+
+
+@st.composite
+def streamed_cases(draw):
+    """The instance and solution of verify_cases, with infinities among
+    the labels, now and then an 'n' of another kind, a row too many or a
+    row not an array, both as document_texts."""
+    instance, solution = draw(verify_cases())
+    n = instance["n"]
+    lists = instance["lists"]
+    for row in lists:
+        for cell in row:
+            if draw(st.integers(0, 9)) == 0:
+                cell.append(draw(STREAM_LABELS))
+    fault = draw(st.sampled_from([None] * 6 + ["n", "extra-row", "odd-row"]))
+    if fault == "n":
+        instance["n"] = draw(st.sampled_from([str(n), float(n), n == 1, -1, None, n + 1]))
+    elif fault == "extra-row":
+        lists.append(lists[-1] if lists else [])
+    elif fault == "odd-row" and n:
+        lists[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["ab", {}, 1, None, NAN]))
+    return (draw(document_texts(instance, "lists")),
+            draw(document_texts(solution, "grid")))
+
+
+class TestVerifyMatchesWholeDocument:
+    @settings(max_examples=400, deadline=None)
+    @given(case=streamed_cases(), quiet=st.booleans())
+    def test_same_exit_code_stdout_and_stderr(self, case, quiet, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("stream")
+        inst = write(directory, "i.json", case[0])
+        sol = write(directory, "s.json", case[1])
+        argv = ["--quiet"] * quiet + ["verify", inst, sol]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = whole_document_verify(argparse.Namespace(
+                quiet=quiet, instance=inst, solution=sol
+            ))
+        event(f"exit {code}")
         assert call(*argv) == (code, out.getvalue(), err.getvalue())
 
 
