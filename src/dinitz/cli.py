@@ -63,10 +63,11 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 # gen refuses n * n * list size + universe size above this many labels.
-# It holds the universe's label strings and one row of the grid at a
-# time: on 64-bit CPython 3.11 a universe at the limit takes 594 MB,
-# while n = 200 at the default sizes, which fits, peaks at 21 MB and
-# writes 127 MB.
+# It draws label numbers from range(universe size), formats each one it
+# draws and holds one row of the grid at a time: on 64-bit CPython 3.11,
+# n = 2 with a universe just under the limit peaks at 16.5 MB, and
+# n = 200 at the default sizes, which fits, peaks at 24 MB and writes
+# 127 MB.
 MAX_GEN_LABELS = 1 << 23
 
 
@@ -374,14 +375,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _warn(args, f"lists of {list_size} colors are below the solvable bound of {n}")
     if n > 0 and list_size == 0:
         return _error("lists must be non-empty for a non-empty grid")
-    labels = [f"c{k}" for k in range(universe_size)]
+    universe = range(universe_size)
     rng = random.Random(args.seed)
     meta = {"seed": args.seed, "universe_size": universe_size, "list_size": list_size}
     # The text of json.dumps({"n": n, "lists": rows, "meta": meta}, indent=2),
     # a row at a time: each row is indented two levels deeper than alone.
     _write_stdout(f'{{\n  "n": {n},\n  "lists": [')
     for i in range(n):
-        row = json.dumps([rng.sample(labels, list_size) for _ in range(n)], indent=2)
+        cells = [[f"c{k}" for k in rng.sample(universe, list_size)] for _ in range(n)]
+        row = json.dumps(cells, indent=2)
         _write_stdout(("," if i else "") + "\n    " + row.replace("\n", "\n    "))
     meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
     _write_stdout(("\n  ]" if n else "]") + f',\n  "meta": {meta_text}\n}}\n')

@@ -2,9 +2,9 @@
 
 Every graph here is an orientation of a simple graph: self-loops are
 rejected, and at most one of (u, v) and (v, u) may be present.  Vertex
-subsets are plain iterables of ints; internally the exhaustive routines
-work on arbitrary-precision int bitmasks, so subsets of any size get the
-machine-word treatment.
+subsets are plain iterables of ints, and queries on a subset read only
+the successor sets of its members.  The per-vertex bitmasks are for the
+exhaustive searches, which build them on the small graph they search.
 """
 
 from __future__ import annotations
@@ -154,9 +154,7 @@ def induced_subgraph(
 def is_independent(g: Digraph, vertices: Iterable[int]) -> bool:
     """True iff no edge of g, in either direction, joins two of the vertices."""
     members = vertex_subset(g, vertices)
-    mask = _mask(members)
-    adj = g.adj_masks
-    return all(not adj[v] & mask for v in members)
+    return all(g.succ[v].isdisjoint(members) for v in members)
 
 
 @dataclass(frozen=True)

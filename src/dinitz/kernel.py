@@ -3,8 +3,8 @@
 A kernel of a vertex subset S is an independent set S' contained in S
 such that every vertex of S - S' has an out-edge into S'.  Only edges
 with both endpoints inside S count, i.e. a kernel of S is a kernel of
-the subgraph induced on S.  These routines are the slow, trustworthy
-ground truth that the fast Gale-Shapley path is tested against.
+the subgraph induced on S, which is all these routines read.  They are
+the slow, trustworthy ground truth for the fast Gale-Shapley path.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, _mask, vertex_subset
+from .digraph import Digraph, induced_subgraph, is_independent, vertex_subset
 
 DEFAULT_KERNEL_CAP = 24
 DEFAULT_AUDIT_CAP = 20
@@ -65,7 +65,9 @@ def is_kernel(g: Digraph, s: Iterable[int], s_prime: Iterable[int]) -> bool:
     sp_set = frozenset(s_prime)
     if not sp_set <= s_set:
         raise ValueError(f"s_prime contains vertices outside s: {sorted(sp_set - s_set)}")
-    return _is_kernel_mask(g.out_masks, g.adj_masks, _mask(s_set), _mask(sp_set))
+    return is_independent(g, sp_set) and all(
+        not g.succ[v].isdisjoint(sp_set) for v in s_set - sp_set
+    )
 
 
 def find_kernel_bruteforce(
@@ -73,25 +75,24 @@ def find_kernel_bruteforce(
 ) -> frozenset[int] | None:
     """Exhaustively search for a kernel of s; None if no kernel exists.
 
-    Walks the sub-masks of s's bitmask upward from 0 and returns the
-    first kernel found, which is therefore the kernel with the smallest
-    bitmask value (not the lexicographically smallest vertex list).  The
-    empty set is the (vacuous) kernel of an empty s.  Raises ValueError
-    for an s of more than ``cap`` vertices.
+    Walks the subsets of the subgraph induced on s, numbered in the order
+    of s's ids, upward in bitmask order, so the first kernel found is the
+    one with the smallest bitmask value in g (not the lexicographically
+    smallest vertex list).  The empty set is the (vacuous) kernel of an
+    empty s.  Raises ValueError for an s of more than ``cap`` vertices.
     """
     members = vertex_subset(g, s)
     if len(members) > cap:
         raise ValueError(
             f"subset has {len(members)} vertices, exceeding the cap of {cap}"
         )
-    out_masks, adj_masks = g.out_masks, g.adj_masks
-    s_mask = _mask(members)
-    sub = 0
-    while not _is_kernel_mask(out_masks, adj_masks, s_mask, sub):
-        sub = (sub - s_mask) & s_mask  # the next sub-mask up; 0 after s_mask
-        if not sub:
-            return None
-    return frozenset(_bits(sub))
+    h, _ = induced_subgraph(g, members)
+    order = sorted(members)  # vertex i of h is order[i]
+    s_mask = (1 << len(order)) - 1
+    for sub in range(s_mask + 1):
+        if _is_kernel_mask(h.out_masks, h.adj_masks, s_mask, sub):
+            return frozenset(order[i] for i in _bits(sub))
+    return None
 
 
 def has_property_x(g: Digraph, cap: int = DEFAULT_AUDIT_CAP) -> PropertyXReport:

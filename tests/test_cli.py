@@ -122,6 +122,16 @@ class TestGen:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_child_holds_no_label_table(self):
+        """A four-cell instance drawn from a universe just under the label
+        budget peaked at 594 MB when gen built the universe's labels first,
+        and at 16.5 MB drawing from its range (CPython 3.11, x86-64 Linux)."""
+        proc, code, peak_kib = run_measured(["gen", "--n", "2", "--universe-size",
+                                             "8388000"])
+        assert (code, proc.stderr) == (0, "")
+        assert peak_kib < 64 << 10
+
     @pytest.mark.parametrize("universe, refused", [(4, False), (5, True)])
     def test_label_budget_counts_list_entries_and_universe(
         self, universe, refused, capsys, monkeypatch
@@ -537,8 +547,7 @@ class TestVerifyStream:
     def test_verify_child_holds_one_row(self, tmp_path):
         """At n = 100 the verify child peaked at 100.7 MB when it parsed the
         whole instance and at 46.8 MB streaming it (CPython 3.11, x86-64
-        Linux).  A child's ru_maxrss starts at its parent's RSS, so a small
-        launcher process, not this one, starts it."""
+        Linux)."""
         inst, sol = tmp_path / "i.json", tmp_path / "s.json"
         dinitz = [sys.executable, "-m", "dinitz.cli"]
         with open(inst, "w") as fh:
@@ -546,17 +555,7 @@ class TestVerifyStream:
                            env=cli_env(False), check=True, timeout=120)
         subprocess.run([*dinitz, "solve", inst, sol], env=cli_env(False), check=True,
                        timeout=120)
-        launcher = (
-            "import os, subprocess, sys\n"
-            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(child.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, *dinitz, "verify", inst, sol],
-            capture_output=True, text=True, env=cli_env(False), timeout=120,
-        )
-        code, peak_kib = map(int, proc.stdout.split())
+        proc, code, peak_kib = run_measured(["verify", inst, sol])
         assert code == 0, proc.stderr
         assert peak_kib < 75 << 10
 
@@ -806,6 +805,16 @@ class TestKernel:
             f"error: subset has 25 vertices, exceeding the cap of {DEFAULT_KERNEL_CAP}\n"
         )
 
+    def test_small_subset_of_a_large_graph_in_bounded_memory(self, tmp_path):
+        """A star of MAX_VERTICES vertices, an edge from each into the last:
+        bitmasks of the whole graph would take about 8.6 GB, the subgraph
+        on the subset takes one vertex."""
+        n = MAX_VERTICES
+        path = tmp_path / "star.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {n - 1}\n" for v in range(n - 1)))
+        proc = run_limited(["kernel", str(path), "0"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
     def test_malformed_subset(self, tmp_path, capsys):
         assert run(capsys, "kernel", triangle_file(tmp_path), "0,x")[0] == 2
 
@@ -854,6 +863,25 @@ def cli_env(unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def run_measured(argv):
+    """Run the dinitz command in a child, with stdout discarded; return the
+    launcher's result, the child's exit code and its peak RSS (KiB on
+    Linux).  A child's ru_maxrss starts at its parent's RSS, so a small
+    launcher process, not this one, starts it."""
+    launcher = (
+        "import os, subprocess, sys\n"
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "dinitz.cli", *argv],
+        capture_output=True, text=True, env=cli_env(False), timeout=120,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    return proc, code, peak_kib
 
 
 def run_limited(argv, limit=1 << 30):

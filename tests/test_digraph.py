@@ -136,7 +136,8 @@ class TestIsIndependent:
     def test_direction_blind(self, gs):
         g, s = gs
         reversed_g = make_digraph(g.num_vertices, [(v, u) for u, v in g.edges])
-        assert is_independent(g, s) == is_independent(reversed_g, s)
+        no_edge_inside = not any(u in s and v in s for u, v in g.edges)
+        assert is_independent(g, s) == is_independent(reversed_g, s) == no_edge_inside
 
 
 class TestVerifyListColoring:

@@ -31,7 +31,7 @@ from dinitz import (
 )
 from dinitz.kernel import DEFAULT_AUDIT_CAP, DEFAULT_KERNEL_CAP, _bits, _is_kernel_mask
 
-from strategies import digraphs, digraphs_with_subsets
+from strategies import digraphs, digraphs_with_subsets, graphs_with_scattered_subsets
 
 
 def ref_find_kernel_bruteforce(g, s, cap=DEFAULT_KERNEL_CAP):
@@ -219,7 +219,7 @@ def digraph_texts(draw):
 
 class TestKernelSearchMatchesReference:
     @given(
-        digraphs_with_subsets(max_vertices=9),
+        digraphs_with_subsets(max_vertices=9) | graphs_with_scattered_subsets(),
         st.just(DEFAULT_KERNEL_CAP) | st.integers(0, 9),
     )
     @settings(max_examples=300)

@@ -7,6 +7,7 @@ from dinitz import (
     build_square_orientation,
     find_kernel_bruteforce,
     has_property_x,
+    is_independent,
     is_kernel,
     make_digraph,
 )
@@ -124,6 +125,28 @@ class TestFindKernelBruteforce:
         assert (found is None) == (not naive)
         if found is not None:
             assert found == min(naive, key=mask)
+
+
+class TestQueriesOnALargeGraph:
+    """A query on a few vertices of a large graph builds no bitmask of the
+    whole graph.  Each vertex's masks are as wide as its highest neighbour
+    id, so a star of 2**18 vertices needs about 8.6 GB of them."""
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (lambda g, last: is_kernel(g, [0, 1, last], [last]), True),
+            (lambda g, last: is_independent(g, [0, 1, last]), False),
+            (lambda g, last: find_kernel_bruteforce(g, [0, 1, last]), {4095}),
+        ],
+        ids=["is_kernel", "is_independent", "find_kernel_bruteforce"],
+    )
+    def test_leaves_the_whole_graph_masks_unbuilt(self, query, expected):
+        n = 1 << 12
+        star = make_digraph(n, [(v, n - 1) for v in range(n - 1)])
+        assert query(star, n - 1) == expected
+        assert "out_masks" not in star.__dict__
+        assert "adj_masks" not in star.__dict__
 
 
 class TestCycleKernels:
