@@ -8,14 +8,14 @@ solution, failed audit, no kernel) or an internal solver defect, 2 for
 usage and input errors.  Warnings go to stderr; stdout carries only
 machine-readable output.
 
-``verify`` checks the label lists directly: every test it makes (row
-repeats, column repeats, list membership) runs on the labels with Python
-equality, as interning would, so it never builds the interned instance
-that ``solve`` needs.  An instance laid out as ``gen`` writes it is
-decoded one row at a time, each row checked and dropped before the next;
-any other text, and any instance with a fault, is parsed whole, which
-supplies the error text.  Each file is read once, so either may be a
-pipe.
+``solve`` and ``verify`` read an instance laid out as ``gen`` writes it
+one row at a time, each row checked and handed on before the next is
+decoded: ``solve`` interns it, ``verify`` keeps only whether each cell
+holds the solution's color.  Any other text, and any instance with a
+fault, is parsed whole, which supplies the error text.  Each file is
+read once, so either may be a pipe.  ``verify`` compares labels with
+Python equality, as interning would, so it never builds the interned
+instance.
 
 ``kernel --mode gs-square`` accepts a graph only if it equals the
 orientation ``orient`` prints for its side length.  A reader that
@@ -109,13 +109,12 @@ def _read_json(path: str, text: str | None = None):
         raise ValueError(f"{path}: JSON nesting too deep") from None
 
 
-def _check_row(path: str, n: int, i: int, row, warn, interned=None) -> list:
+def _check_row(path: str, n: int, i: int, row, warn) -> list:
     """Check row ``i`` of an instance's lists: it must be an array of ``n``
     cells, a cell a non-empty array of labels none of which is an array
     or object.  Call ``warn`` with a message for each cell that repeats a
     label, and raise ValueError at the first fault.  Return the row's
-    cells as sets of labels, or as the cells of ``interned``, the row
-    interned, when it is given.
+    cells as sets of labels.
     """
     if not isinstance(row, list) or len(row) != n:
         raise ValueError(f"{path}: row {i} must be an array of {n} cells")
@@ -124,7 +123,7 @@ def _check_row(path: str, n: int, i: int, row, warn, interned=None) -> list:
         if not isinstance(cell, list) or not cell:
             raise ValueError(f"{path}: cell ({i}, {j}) must be a non-empty array")
         try:
-            distinct = set(cell) if interned is None else interned[j]
+            distinct = set(cell)
         except TypeError:
             raise ValueError(
                 f"{path}: cell ({i}, {j}) has an array or object as a color label"
@@ -133,21 +132,6 @@ def _check_row(path: str, n: int, i: int, row, warn, interned=None) -> list:
             warn(f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
         cells.append(distinct)
     return cells
-
-
-def _check_lists(
-    path: str, n: int, lists: list, args: argparse.Namespace,
-    interned: DinitzInstance | None = None,
-) -> None:
-    """Check each row of ``lists`` in order with _check_row, warning as it
-    goes.  A cell's distinct labels are counted from ``interned``, the
-    DinitzInstance interned from ``lists``, when it is given.
-    """
-    def warn(message: str) -> None:
-        _warn(args, message)
-
-    for i, row in enumerate(lists):
-        _check_row(path, n, i, row, warn, None if interned is None else interned.lists[i])
 
 
 def _read_doc(
@@ -173,21 +157,13 @@ def _read_instance(path: str, text: str | None = None) -> tuple[int, list]:
 
 
 def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
-    """The instance file at ``path``, interned, once _check_lists passes
-    on its lists: the same warnings, and the same ValueError at the first
-    fault."""
-    n, lists = _read_instance(path)
-    try:
-        # Interning would read a string cell as its characters.
-        if not all(isinstance(row, list) and all(isinstance(cell, list) for cell in row)
-                   for row in lists):
-            raise ValueError
-        inst = DinitzInstance.from_labels(lists)
-    except (TypeError, ValueError):
-        _check_lists(path, n, lists, args)  # raises at the first fault
-        raise
-    _check_lists(path, n, lists, args, inst)
-    return inst
+    """The instance file at ``path``, interned, once each of its rows
+    passes _check_row: the same warnings, and the same ValueError at the
+    first fault."""
+    def intern(rows: _Rows) -> DinitzInstance:
+        return DinitzInstance.from_labels(_Rows(len(rows), (row for row, _ in rows)))
+
+    return _read_lists(path, args, intern)
 
 
 def _load_solution(path: str) -> tuple[int, list]:
@@ -241,7 +217,7 @@ def _gen_layout(text: str):
     if key != "n":
         raise ValueError("not the keys of gen's layout")
     n, pos = value(expect(pos, ":"))
-    if type(n) is not int or n < 0:
+    if type(n) is not int or not 0 <= n <= len(text):  # n rows take n characters
         raise ValueError("not the 'n' of gen's layout")
     yield n
     key, pos = value(expect(pos, ","))
@@ -263,41 +239,57 @@ def _gen_layout(text: str):
         raise ValueError("text after gen's layout")
 
 
-def _verify_streamed(
-    args: argparse.Namespace, text: str, solution
-) -> LatinReport | None:
-    """The verdict on ``solution`` (as _check_grid takes it) from the
-    instance ``text`` laid out as ``gen`` writes it, held one row at a
-    time; None, with nothing printed, for any other text or an instance
-    with a fault.
+class _Rows:
+    """The n rows of an instance, read once: a sized iterable, as
+    DinitzInstance.from_labels takes its rows."""
 
-    The sets of labels that _check_row builds for a row also answer
-    whether the row's colors are on their lists.  The solution's errors
-    are raised after the instance passes.
+    def __init__(self, n: int, rows) -> None:
+        self.n, self.rows = n, rows
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return self.rows
+
+
+def _read_lists(path: str, args: argparse.Namespace, use):
+    """``use(rows)`` for the instance file at ``path``: ``rows`` is sized
+    and gives each row of its lists once, in order, with the row's cells
+    as sets of labels, ``(row, cells)``, as _check_row passes it.  The
+    rows ``use`` leaves when it raises OSError or ValueError are read
+    before that is raised again, so that the instance's faults come first.
+
+    Text laid out as ``gen`` writes it is decoded a row at a time, and
+    its warnings are held until ``use`` returns.  On any fault, and for
+    any other text, the whole document is read and ``use`` is called
+    again: that read prints each warning as it goes and raises the first
+    fault's error.  The file is read once, so it may be a pipe.
     """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+
+    def use_checked(n: int, rows, warn):
+        rows = _Rows(n, ((row, _check_row(path, n, i, row, warn)) for i, row in enumerate(rows)))
+        try:
+            return use(rows)
+        except (OSError, ValueError):
+            for _ in rows:  # the instance's faults come first
+                pass
+            raise
+
     warnings: list[str] = []
     try:
         layout = _gen_layout(text)
-        n = next(layout)
-        try:
-            grid, grid_error = _check_grid(args.solution, solution, n), None
-        except (OSError, ValueError) as exc:
-            grid, grid_error = None, exc
-        # Each cell cut down to the solution's color if it holds it, so
-        # that verify_generalized_latin gives the verdict the whole lists
-        # would.
-        held = []
-        for i, row in enumerate(layout):
-            cells = _check_row(args.instance, n, i, row, warnings.append)
-            if grid is not None:
-                held.append([(c,) if c in cell else () for c, cell in zip(grid[i], cells)])
-    except (ValueError, RecursionError):
-        return None
+        result = use_checked(next(layout), layout, warnings.append)
+        for _ in layout:  # the text after the last row
+            pass
+    except (OSError, ValueError, RecursionError):
+        n, lists = _read_instance(path, text)
+        return use_checked(n, lists, lambda message: _warn(args, message))
     for message in warnings:
         _warn(args, message)
-    if grid_error is not None:
-        raise grid_error
-    return verify_generalized_latin(SimpleNamespace(n=n, lists=held), grid)
+    return result
 
 
 def _write_json(path: str, doc) -> None:
@@ -379,12 +371,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     meta = {"seed": args.seed, "universe_size": universe_size, "list_size": list_size}
     # The text of json.dumps({"n": n, "lists": rows, "meta": meta}, indent=2),
-    # a row at a time: each row is indented two levels deeper than alone.
+    # a row at a time.  Labels c<k> need no escaping, and no cell is empty.
     _write_stdout(f'{{\n  "n": {n},\n  "lists": [')
     for i in range(n):
-        cells = [[f"c{k}" for k in rng.sample(universe, list_size)] for _ in range(n)]
-        row = json.dumps(cells, indent=2)
-        _write_stdout(("," if i else "") + "\n    " + row.replace("\n", "\n    "))
+        cells = ('",\n        "c'.join(map(str, rng.sample(universe, list_size)))
+                 for _ in range(n))
+        row = '"\n      ],\n      [\n        "c'.join(cells)
+        _write_stdout(("," if i else "") + f'\n    [\n      [\n        "c{row}"\n      ]\n    ]')
     meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
     _write_stdout(("\n  ]" if n else "]") + f',\n  "meta": {meta_text}\n}}\n')
     return EXIT_OK
@@ -416,15 +409,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         solution = _load_solution(args.solution)
     except (OSError, ValueError) as exc:
         solution = exc
+
+    def verdict(rows: _Rows) -> LatinReport:
+        grid = _check_grid(args.solution, solution, len(rows))
+        # Each cell cut down to the solution's color if it holds it, so
+        # that verify_generalized_latin gives the verdict the whole lists
+        # would.
+        held = [[(c,) if c in cell else () for c, cell in zip(colors, cells)]
+                for colors, (_, cells) in zip(grid, rows)]
+        return verify_generalized_latin(SimpleNamespace(n=len(rows), lists=held), grid)
+
     try:
-        with open(args.instance, encoding="utf-8") as fh:
-            text = fh.read()
-        report = _verify_streamed(args, text, solution)
-        if report is None:
-            n, lists = _read_instance(args.instance, text)
-            _check_lists(args.instance, n, lists, args)
-            grid = _check_grid(args.solution, solution, n)
-            report = verify_generalized_latin(SimpleNamespace(n=n, lists=lists), grid)
+        report = _read_lists(args.instance, args, verdict)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
     if report.valid:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
 from operator import contains
-from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
 from .kernel import is_kernel
@@ -323,20 +323,24 @@ class DinitzInstance:
 
     @classmethod
     def from_labels(
-        cls, rows: Sequence[Sequence[Iterable[Hashable]]]
+        cls, rows: Collection[Collection[Iterable[Hashable]]]
     ) -> "DinitzInstance":
         """Intern an n x n nested structure of color labels.
 
-        Cells given as sets are sorted before interning so the id
-        assignment never depends on hash order; sequences keep their
-        order.  Duplicate labels within a cell collapse.  Empty cells
-        are rejected.
+        ``rows`` is a sized iterable of the n rows, read once, row by row:
+        each row is interned before the next is taken.  Cells given as
+        sets are sorted before interning so the id assignment never
+        depends on hash order; sequences keep their order.  Duplicate
+        labels within a cell collapse.  Empty cells are rejected.
         """
         n = len(rows)
-        cells: list[Sequence[Hashable]] = []
+        ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
+        get = ids.__getitem__  # numbers each label on first appearance
+        lists = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+            interned = []
             for j, cell in enumerate(row):
                 if isinstance(cell, (set, frozenset)):
                     cell = sorted(cell)
@@ -344,14 +348,11 @@ class DinitzInstance:
                     cell = list(cell)
                 if not cell:
                     raise ValueError(f"cell ({i}, {j}) has an empty color list")
-                cells.append(cell)
-        ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
-        get = ids.__getitem__  # numbers each label on first appearance
-        # frozenset(map(...)) grows its table one insert at a time and ends
-        # twice as large; copying a set sizes the frozenset for its cell.
-        flat = [frozenset(set(map(get, cell))) for cell in cells]
-        lists = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
-        inst = cls(n, lists, tuple(ids))
+                # frozenset(map(...)) grows its table one insert at a time and
+                # ends twice as large; copying a set sizes it for its cell.
+                interned.append(frozenset(set(map(get, cell))))
+            lists.append(tuple(interned))
+        inst = cls(n, tuple(lists), tuple(ids))
         inst.__dict__["_colors"] = list(ids.values())  # each id is in some cell
         return inst
 

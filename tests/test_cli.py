@@ -432,6 +432,17 @@ class TestSolveAndVerify:
         code, out, err = run(capsys, "verify", inst, sol)
         assert (code, out, err) == (0, "valid\n", "")
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_n_above_the_largest_length_is_exit_2(self, command, tmp_path, capsys):
+        """An 'n' too large to be a length is refused like any other."""
+        n = 10 ** 30
+        inst = write_json(tmp_path, {"n": n, "lists": []}, "i.json")
+        sol = write_json(tmp_path, {"n": n, "grid": []}, "s.json")
+        out = sol if command == "verify" else str(tmp_path / "out.json")
+        assert run(capsys, command, inst, out) == (
+            2, "", f"error: {inst}: 'lists' must be an array of {n} rows\n"
+        )
+
     def test_verify_dimension_mismatch(self, tmp_path, capsys):
         instance = {"n": 2, "lists": [[["a", "b"], ["a", "b"]],
                                       [["a", "b"], ["a", "b"]]]}
@@ -444,8 +455,8 @@ NAN = math.nan
 
 
 class TestVerifyStream:
-    """verify decodes an instance laid out as gen writes it one row at a
-    time, and reads any other text whole with json.load."""
+    """verify and solve decode an instance laid out as gen writes it one
+    row at a time, and read any other text whole with json.load."""
 
     def read_instance_calls(self, monkeypatch):
         calls = []
@@ -468,12 +479,23 @@ class TestVerifyStream:
         assert run(capsys, "verify", str(inst), sol) == (0, "valid\n", "")
         assert calls == []
 
+    def test_solve_on_gen_output_is_streamed(self, tmp_path, capsys, monkeypatch):
+        code, out, _ = run(capsys, "gen", "--n", "5", "--seed", "3")
+        inst = tmp_path / "i.json"
+        inst.write_text(out)
+        calls = self.read_instance_calls(monkeypatch)
+        sol = tmp_path / "s.json"
+        assert run(capsys, "solve", str(inst), str(sol)) == (0, "", "")
+        assert calls == []
+        assert run(capsys, "verify", str(inst), str(sol)) == (0, "valid\n", "")
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("piped", ["instance", "solution"])
     @pytest.mark.parametrize("layout", ["gen", "sorted", "meta-twice"])
     def test_reads_each_file_once(self, piped, layout, tmp_path, capsys):
         """Either file may be a pipe, as a shell's <(...) gives: verify reads
-        each once, whether it streams the instance or reads it whole."""
+        each once, whether it streams the instance or reads it whole, and
+        solve reads its instance once."""
         lists = [[["a", "b"], ["b", "a"]], [["a", "b"], ["a", "b"]]]
         texts = {
             "instance": {
@@ -483,22 +505,33 @@ class TestVerifyStream:
             }[layout],
             "solution": json.dumps({"n": 2, "grid": [["a", "b"], ["b", "a"]]}),
         }
-        paths = {}
-        for name, text in texts.items():
-            if name == piped:
-                read_end, write_end = os.pipe()
-                os.write(write_end, text.encode())
-                os.close(write_end)
-                paths[name] = f"/dev/fd/{read_end}"
-            else:
-                (tmp_path / name).write_text(text)
-                paths[name] = str(tmp_path / name)
+        pipes = []
+
+        def path(name):
+            if name != piped:
+                (tmp_path / name).write_text(texts[name])
+                return str(tmp_path / name)
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            os.write(write_end, texts[name].encode())
+            os.close(write_end)
+            return f"/dev/fd/{read_end}"
+
         try:
-            assert run(capsys, "verify", paths["instance"], paths["solution"]) == (
+            assert run(capsys, "verify", path("instance"), path("solution")) == (
                 0, "valid\n", ""
             )
+            if piped == "instance":
+                assert run(capsys, "solve", path("instance"), str(tmp_path / "s.json")) \
+                    == (0, "", "")
         finally:
-            os.close(read_end)
+            for read_end in pipes:
+                os.close(read_end)
+        if piped == "instance":  # the solution a file of the same text gives
+            (tmp_path / "instance").write_text(texts["instance"])
+            ref = tmp_path / "ref.json"
+            assert run(capsys, "solve", str(tmp_path / "instance"), str(ref)) == (0, "", "")
+            assert (tmp_path / "s.json").read_bytes() == ref.read_bytes()
 
     # (lists, grid, stdout, whether the first cell warns of duplicates).
     # json hands back one shared NaN object, so a NaN label is one color
@@ -558,6 +591,21 @@ class TestVerifyStream:
         proc, code, peak_kib = run_measured(["verify", inst, sol])
         assert code == 0, proc.stderr
         assert peak_kib < 75 << 10
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_solve_child_holds_one_row_of_labels(self, tmp_path):
+        """At n = 100 the solve child peaked at 127.3 MB when it parsed the
+        whole instance before interning it and at 74.6 MB interning it a
+        row at a time (CPython 3.11, x86-64 Linux): the instance it builds
+        is 42 MB of that."""
+        inst = tmp_path / "i.json"
+        with open(inst, "w") as fh:
+            subprocess.run([sys.executable, "-m", "dinitz.cli", "gen", "--n", "100",
+                            "--seed", "4099"], stdout=fh, env=cli_env(False), check=True,
+                           timeout=120)
+        proc, code, peak_kib = run_measured(["solve", inst, tmp_path / "s.json"])
+        assert code == 0, proc.stderr
+        assert peak_kib < 96 << 10
 
 
 class TestOrient:

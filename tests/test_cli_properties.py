@@ -1,6 +1,7 @@
 """Property tests of the command line: exit codes on arbitrary input,
 ``dinitz verify`` against the interning path it replaced and against the
-whole-document path its row stream replaced, and the instance loader
+whole-document path its row stream replaced, ``dinitz solve`` against
+the whole-document path its row stream replaced, and the instance loader
 against its earlier check, intern, recheck form."""
 
 import argparse
@@ -14,8 +15,16 @@ from types import SimpleNamespace
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dinitz import DinitzInstance, format_digraph, verify_generalized_latin
-from dinitz.cli import _error, _load_instance, _load_solution, _read_instance, _warn, main
+from dinitz import DinitzInstance, format_digraph, solve_dinitz, verify_generalized_latin
+from dinitz.cli import (
+    _error,
+    _load_instance,
+    _load_solution,
+    _read_instance,
+    _warn,
+    _write_json,
+    main,
+)
 
 from strategies import digraphs
 
@@ -266,17 +275,22 @@ def document_texts(draw, doc: dict, field: str):
 
 
 @st.composite
-def streamed_cases(draw):
+def streamed_cases(draw, padded=False):
     """The instance and solution of verify_cases, with infinities among
     the labels, now and then an 'n' of another kind, a row too many or a
-    row not an array, both as document_texts."""
+    row not an array, both as document_texts.  If ``padded``, every
+    non-empty cell of about half the instances also gets n labels of its
+    own, so that those instances can be solved."""
     instance, solution = draw(verify_cases())
     n = instance["n"]
     lists = instance["lists"]
+    pad = [f"p{k}" for k in range(n)] if padded and draw(st.booleans()) else []
     for row in lists:
         for cell in row:
             if draw(st.integers(0, 9)) == 0:
                 cell.append(draw(STREAM_LABELS))
+            if cell:
+                cell.extend(pad)
     fault = draw(st.sampled_from([None] * 6 + ["n", "extra-row", "odd-row"]))
     if fault == "n":
         instance["n"] = draw(st.sampled_from([str(n), float(n), n == 1, -1, None, n + 1]))
@@ -303,6 +317,38 @@ class TestVerifyMatchesWholeDocument:
             ))
         event(f"exit {code}")
         assert call(*argv) == (code, out.getvalue(), err.getvalue())
+
+
+def whole_document_solve(args: argparse.Namespace) -> int:
+    """``dinitz solve`` as it was before it streamed the instance: the
+    whole document through json.load, interned, solved and written."""
+    try:
+        inst = reference_load_instance(args.instance, args)
+        grid = solve_dinitz(inst)
+    except (OSError, ValueError) as exc:  # UndersizedListError is a ValueError
+        return _error(str(exc))
+    _write_json(args.solution, {"n": inst.n, "grid": inst.label_grid(grid)})
+    return 0
+
+
+class TestSolveMatchesWholeDocument:
+    @settings(max_examples=400, deadline=None)
+    @given(case=streamed_cases(padded=True), quiet=st.booleans())
+    def test_same_exit_code_output_and_solution(self, case, quiet, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("solve")
+        inst = write(directory, "i.json", case[0])
+        solution = directory / "s.json"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = whole_document_solve(argparse.Namespace(
+                quiet=quiet, instance=inst, solution=str(solution)
+            ))
+        event(f"exit {code}")
+        expected = solution.read_bytes() if code == 0 else None
+        solution.unlink(missing_ok=True)
+        argv = ["--quiet"] * quiet + ["solve", inst, str(solution)]
+        assert call(*argv) == (code, out.getvalue(), err.getvalue())
+        assert (solution.read_bytes() if solution.exists() else None) == expected
 
 
 # Cells of every kind a JSON document can hold: label arrays with

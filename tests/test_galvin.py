@@ -170,6 +170,20 @@ def build_rows(n, cells, kinds):
     return [flat[r * n : (r + 1) * n] for r in range(n)]
 
 
+class OnePass:
+    """Rows that can be walked once, with their number known up front: a
+    caller that decodes rows as they are read hands them over this way."""
+
+    def __init__(self, rows):
+        self.n, self.rows = len(rows), iter(rows)
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        return self.rows
+
+
 def reference_verify(inst, grid):
     """verify_generalized_latin as one Python step per cell: the
     reference for its C-level passes."""
@@ -560,10 +574,23 @@ class TestDinitzInstance:
     @given(label_rows())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_loop(self, case):
-        got = DinitzInstance.from_labels(build_rows(*case))
         want = reference_from_labels(build_rows(*case))
-        assert got == want
-        assert list(map(type, got.labels)) == list(map(type, want.labels))
+        for rows in (build_rows(*case), OnePass(build_rows(*case))):
+            got = DinitzInstance.from_labels(rows)
+            assert got == want
+            assert list(map(type, got.labels)) == list(map(type, want.labels))
+
+    def test_faults_raise_in_row_major_order(self):
+        """Each row is interned before the next is read: an unhashable
+        label in row 0 raises before a ragged row 1 is seen, as in the
+        reference loop."""
+        rows = [[["a", ["x"]], ["b"]], [["c"]]]
+        with pytest.raises(TypeError):
+            reference_from_labels(rows)
+        with pytest.raises(TypeError):
+            DinitzInstance.from_labels(rows)
+        with pytest.raises(TypeError):
+            DinitzInstance.from_labels(OnePass(rows))
 
     def test_one_true_and_one_point_zero_collapse_into_the_first(self):
         inst = DinitzInstance.from_labels([[[True, 1, 1.0, 2], (1.0, 2, True)]] * 2)
