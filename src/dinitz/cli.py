@@ -10,12 +10,12 @@ machine-readable output.
 
 ``solve`` and ``verify`` read an instance laid out as ``gen`` writes it
 one row at a time, each row checked and handed on before the next is
-decoded: ``solve`` interns it, ``verify`` keeps only whether each cell
-holds the solution's color.  Any other text, and any instance with a
-fault, is parsed whole, which supplies the error text.  Each file is
-read once, so either may be a pipe.  ``verify`` compares labels with
-Python equality, as interning would, so it never builds the interned
-instance.
+decoded: ``solve`` checks its shape and interns it, hashing each label
+once, and ``verify`` keeps only whether each cell holds the solution's
+color.  Any other text, and any instance with a fault, is parsed whole
+and checked in full, which supplies the error text.  Each file is read
+once, so either may be a pipe.  ``verify`` compares labels with Python
+equality, as interning would, so it never builds the interned instance.
 
 ``kernel --mode gs-square`` accepts a graph only if it equals the
 orientation ``orient`` prints for its side length.  A reader that
@@ -134,6 +134,15 @@ def _check_row(path: str, n: int, i: int, row, warn) -> list:
     return cells
 
 
+def _check_shape(path: str, n: int, i: int, row, warn) -> list:
+    """_check_row without the labels: row ``i`` itself, once it is an
+    array of ``n`` non-empty arrays."""
+    if not (isinstance(row, list) and len(row) == n
+            and all(isinstance(cell, list) and cell for cell in row)):
+        raise ValueError(f"{path}: row {i} is not an array of {n} non-empty arrays")
+    return row
+
+
 def _read_doc(
     path: str, kind: str, field: str, text: str | None = None
 ) -> tuple[int, object]:
@@ -159,11 +168,29 @@ def _read_instance(path: str, text: str | None = None) -> tuple[int, list]:
 def _load_instance(path: str, args: argparse.Namespace) -> DinitzInstance:
     """The instance file at ``path``, interned, once each of its rows
     passes _check_row: the same warnings, and the same ValueError at the
-    first fault."""
+    first fault.  Rows streamed in gen's layout pass _check_shape only:
+    interning finds their unhashable labels, which send the read whole,
+    and their repeated ones, which leave a cell fewer colors than the
+    check's length for it (read whole, the length of its label set)."""
     def intern(rows: _Rows) -> DinitzInstance:
-        return DinitzInstance.from_labels(_Rows(len(rows), (row for row, _ in rows)))
+        sizes = []  # the length of each cell the check passed, row by row
 
-    return _read_lists(path, args, intern)
+        def labels():
+            for row, cells in rows:
+                sizes.append(list(map(len, cells)))
+                yield row
+
+        try:
+            inst = DinitzInstance.from_labels(_Rows(len(rows), labels(), rows.warn))
+        except TypeError:  # an array or object as a label
+            raise ValueError(f"{path}: a color label is an array or object") from None
+        for i, (reported, cells) in enumerate(zip(sizes, inst.lists)):
+            for j, (size, cell) in enumerate(zip(reported, cells)):
+                if len(cell) < size:
+                    rows.warn(f"{path}: cell ({i}, {j}) has duplicate colors; deduplicated")
+        return inst
+
+    return _read_lists(path, args, intern, _check_shape)
 
 
 def _load_solution(path: str) -> tuple[int, list]:
@@ -241,10 +268,11 @@ def _gen_layout(text: str):
 
 class _Rows:
     """The n rows of an instance, read once: a sized iterable, as
-    DinitzInstance.from_labels takes its rows."""
+    DinitzInstance.from_labels takes its rows.  ``warn`` takes a warning
+    about the instance, held or printed as the read's own are."""
 
-    def __init__(self, n: int, rows) -> None:
-        self.n, self.rows = n, rows
+    def __init__(self, n: int, rows, warn) -> None:
+        self.n, self.rows, self.warn = n, rows, warn
 
     def __len__(self) -> int:
         return self.n
@@ -253,24 +281,27 @@ class _Rows:
         return self.rows
 
 
-def _read_lists(path: str, args: argparse.Namespace, use):
-    """``use(rows)`` for the instance file at ``path``: ``rows`` is sized
-    and gives each row of its lists once, in order, with the row's cells
-    as sets of labels, ``(row, cells)``, as _check_row passes it.  The
-    rows ``use`` leaves when it raises OSError or ValueError are read
-    before that is raised again, so that the instance's faults come first.
+def _read_lists(path: str, args: argparse.Namespace, use, check):
+    """``use(rows)`` for the instance file at ``path``: ``rows`` is a
+    _Rows that gives each row of its lists once, in order, with what its
+    check returned, ``(row, cells)``.  The rows ``use`` leaves when it
+    raises OSError or ValueError are read before that is raised again,
+    so that the instance's faults come first.
 
-    Text laid out as ``gen`` writes it is decoded a row at a time, and
-    its warnings are held until ``use`` returns.  On any fault, and for
-    any other text, the whole document is read and ``use`` is called
+    Text laid out as ``gen`` writes it is decoded a row at a time, each
+    row checked by ``check`` (_check_row's signature), and its warnings,
+    ``rows.warn``'s too, are held until ``use`` returns.  On any fault,
+    and for any other text, the whole document is read, checked by
+    _check_row, whose cells are sets of labels, and ``use`` is called
     again: that read prints each warning as it goes and raises the first
     fault's error.  The file is read once, so it may be a pipe.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
 
-    def use_checked(n: int, rows, warn):
-        rows = _Rows(n, ((row, _check_row(path, n, i, row, warn)) for i, row in enumerate(rows)))
+    def use_checked(n: int, rows, warn, check):
+        rows = _Rows(n, ((row, check(path, n, i, row, warn)) for i, row in enumerate(rows)),
+                     warn)
         try:
             return use(rows)
         except (OSError, ValueError):
@@ -281,12 +312,12 @@ def _read_lists(path: str, args: argparse.Namespace, use):
     warnings: list[str] = []
     try:
         layout = _gen_layout(text)
-        result = use_checked(next(layout), layout, warnings.append)
+        result = use_checked(next(layout), layout, warnings.append, check)
         for _ in layout:  # the text after the last row
             pass
     except (OSError, ValueError, RecursionError):
         n, lists = _read_instance(path, text)
-        return use_checked(n, lists, lambda message: _warn(args, message))
+        return use_checked(n, lists, lambda message: _warn(args, message), _check_row)
     for message in warnings:
         _warn(args, message)
     return result
@@ -420,7 +451,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return verify_generalized_latin(SimpleNamespace(n=len(rows), lists=held), grid)
 
     try:
-        report = _read_lists(args.instance, args, verdict)
+        report = _read_lists(args.instance, args, verdict, _check_row)
     except (OSError, ValueError) as exc:
         return _error(str(exc))
     if report.valid:

@@ -489,6 +489,51 @@ class TestVerifyStream:
         assert calls == []
         assert run(capsys, "verify", str(inst), str(sol)) == (0, "valid\n", "")
 
+    def test_solve_leaves_the_labels_of_streamed_rows_to_interning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """solve checks only the shape of the rows it streams, and verify
+        still checks each row's labels."""
+        calls = []
+
+        def spy(path, n, i, *rest):
+            calls.append(i)
+            return check_row(path, n, i, *rest)
+
+        check_row = cli._check_row
+        monkeypatch.setattr(cli, "_check_row", spy)
+        code, out, _ = run(capsys, "gen", "--n", "5", "--seed", "3")
+        inst = tmp_path / "i.json"
+        inst.write_text(out)
+        sol = str(tmp_path / "s.json")
+        assert run(capsys, "solve", str(inst), sol) == (0, "", "")
+        assert calls == []
+        assert run(capsys, "verify", str(inst), sol) == (0, "valid\n", "")
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_repeated_labels_stay_streamed(self, tmp_path, capsys, monkeypatch):
+        """Interning finds the labels a streamed cell repeats: solve warns
+        of each such cell in row-major order, as the whole document's
+        check does, and writes the same solution."""
+        _, out, _ = run(capsys, "gen", "--n", "5", "--seed", "3")
+        doc = json.loads(out)
+        for cell in doc["lists"][0][0], doc["lists"][4][4]:
+            cell.append(cell[0])
+        streamed, whole = tmp_path / "i.json", tmp_path / "sorted.json"
+        streamed.write_text(json.dumps(doc, indent=2))
+        whole.write_text(json.dumps(doc, sort_keys=True))
+        calls = self.read_instance_calls(monkeypatch)
+        code, out, err = run(capsys, "solve", str(streamed), str(tmp_path / "s.json"))
+        assert (code, out, calls) == (0, "", [])
+        assert err == "".join(
+            f"warning: {streamed}: cell {cell} has duplicate colors; deduplicated\n"
+            for cell in ["(0, 0)", "(4, 4)"]
+        )
+        code, out, whole_err = run(capsys, "solve", str(whole), str(tmp_path / "s2.json"))
+        assert (code, out, calls) == (0, "", [str(whole)])
+        assert whole_err == err.replace(str(streamed), str(whole))
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("piped", ["instance", "solution"])
     @pytest.mark.parametrize("layout", ["gen", "sorted", "meta-twice"])

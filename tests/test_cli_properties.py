@@ -12,10 +12,11 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dinitz import DinitzInstance, format_digraph, solve_dinitz, verify_generalized_latin
+from dinitz import DinitzInstance, cli, format_digraph, solve_dinitz, verify_generalized_latin
 from dinitz.cli import (
     _error,
     _load_instance,
@@ -349,6 +350,44 @@ class TestSolveMatchesWholeDocument:
         argv = ["--quiet"] * quiet + ["solve", inst, str(solution)]
         assert call(*argv) == (code, out.getvalue(), err.getvalue())
         assert (solution.read_bytes() if solution.exists() else None) == expected
+
+
+class TestSolveFallsBackToWholeDocument:
+    """A label that is an array or object, in a row streamed in gen's
+    layout, sends solve to the whole document, whose check names it.
+    streamed_cases seldom draws that document, so these cases pin it."""
+
+    @pytest.mark.parametrize("cell, label, repeated", [
+        ((0, 0), [1], None),
+        ((4, 4), {}, None),
+        ((2, 3), [1], (1, 2)),
+    ], ids=["first-cell", "last-cell", "after-a-repeat"])
+    def test_same_exit_code_and_stderr(self, cell, label, repeated, tmp_path, monkeypatch):
+        doc = json.loads(call("gen", "--n", "5", "--seed", "3")[1])
+        doc["lists"][cell[0]][cell[1]].append(label)
+        if repeated:
+            labels = doc["lists"][repeated[0]][repeated[1]]
+            labels.append(labels[0])
+        inst = write(tmp_path, "i.json", json.dumps(doc, indent=2))
+        solution = tmp_path / "s.json"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = whole_document_solve(argparse.Namespace(
+                quiet=False, instance=inst, solution=str(solution)
+            ))
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1 + bool(repeated)
+        calls = []
+
+        def spy(path, *rest):
+            calls.append(path)
+            return read_instance(path, *rest)
+
+        read_instance = cli._read_instance
+        monkeypatch.setattr(cli, "_read_instance", spy)
+        assert call("solve", inst, str(solution)) == (code, out.getvalue(), err.getvalue())
+        assert calls == [inst]
+        assert not solution.exists()
 
 
 # Cells of every kind a JSON document can hold: label arrays with
