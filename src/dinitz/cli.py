@@ -290,36 +290,57 @@ def _read_lists(path: str, args: argparse.Namespace, use, check):
 
     Text laid out as ``gen`` writes it is decoded a row at a time, each
     row checked by ``check`` (_check_row's signature), and its warnings,
-    ``rows.warn``'s too, are held until ``use`` returns.  On any fault,
-    and for any other text, the whole document is read, checked by
-    _check_row, whose cells are sets of labels, and ``use`` is called
-    again: that read prints each warning as it goes and raises the first
-    fault's error.  The file is read once, so it may be a pipe.
+    ``rows.warn``'s too, are held until ``use`` returns or raises.  On a
+    fault in the text or its rows, for any other text, and when ``use``
+    raises after a ``check`` other than _check_row, the whole document is
+    read, checked by _check_row, whose cells are sets of labels, and
+    ``use`` is called again: that read prints each warning as it goes and
+    raises the first fault's error.  When ``use`` raises after rows that
+    _check_row passed, and the text after them reads cleanly, that read
+    would end the same way, so the held warnings are printed and the
+    error raised without it.  The file is read once, so it may be a pipe.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
 
-    def use_checked(n: int, rows, warn, check):
-        rows = _Rows(n, ((row, check(path, n, i, row, warn)) for i, row in enumerate(rows)),
-                     warn)
+    def use_checked(n: int, source, warn, check):
+        """(what ``use`` returned, None), or (None, the OSError or
+        ValueError ``use`` raised) once every row it left has been read
+        from ``source`` and has passed ``check``; a fault in the rows is
+        raised."""
+        clean = []  # one entry once the last row has passed its check
+
+        def checked():
+            for i, row in enumerate(source):
+                yield row, check(path, n, i, row, warn)
+            clean.append(True)
+
+        rows = _Rows(n, checked(), warn)
         try:
-            return use(rows)
-        except (OSError, ValueError):
+            return use(rows), None
+        except (OSError, ValueError) as exc:
             for _ in rows:  # the instance's faults come first
                 pass
-            raise
+            if not clean:  # the rows raised it, through use
+                raise
+            return None, exc
 
     warnings: list[str] = []
     try:
         layout = _gen_layout(text)
-        result = use_checked(next(layout), layout, warnings.append, check)
+        result, error = use_checked(next(layout), layout, warnings.append, check)
         for _ in layout:  # the text after the last row
             pass
+        if error is not None and check is not _check_row:
+            raise error  # rows _check_row never saw: the whole read decides
     except (OSError, ValueError, RecursionError):
         n, lists = _read_instance(path, text)
-        return use_checked(n, lists, lambda message: _warn(args, message), _check_row)
-    for message in warnings:
-        _warn(args, message)
+        result, error = use_checked(n, lists, lambda message: _warn(args, message), _check_row)
+    else:
+        for message in warnings:
+            _warn(args, message)
+    if error is not None:
+        raise error
     return result
 
 

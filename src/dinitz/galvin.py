@@ -414,6 +414,10 @@ def solve_dinitz(
     visited once each, smallest id first, and each goes to a kernel of
     the uncolored cells that list it: one :func:`square_kernel_oracle`
     call on them as an ascending list, checked by :func:`is_square_kernel`.
+    The ascending ids are taken in windows, the first of n // 2 (at
+    least 1) and each next one twice as long as the last.  A window's
+    buckets file only the cells still uncolored when it opens, and no
+    window opens once every cell is colored.
     The orientation is built only for the ``checked=True`` audit, which
     after each pass compares every uncolored cell's colors above the
     pass's with its uncolored successors.  The grid, ``trace``,
@@ -424,62 +428,73 @@ def solve_dinitz(
     """
     n = inst.n
     cells = [cell for row in inst.lists for cell in row]
-    colors = inst._colors
-    # buckets[color]: the cells listing it, ascending.  Ids 0..k-1, as
-    # from_labels numbers them, index a list, cheaper per entry than a
-    # dict; a directly built instance may use any ids, which key a dict.
-    buckets: list[list[int]] | dict[int, list[int]]
-    if colors == list(range(len(colors))):
-        buckets = [[] for _ in colors]
-    else:
-        buckets = {color: [] for color in colors}
     for v, cell in enumerate(cells):
         if len(cell) < n:
             raise UndersizedListError(*divmod(v, n), len(cell), n)
-        for color in cell:
-            buckets[color].append(v)
+    colors = inst._colors  # ascending and distinct
+    # buckets[color]: the cells listing it that were uncolored when its
+    # window opened, ascending.  Ids 0..k-1, as from_labels numbers them,
+    # index a list, cheaper per entry than a dict; a directly built
+    # instance may use any ids, which key a dict made for each window.
+    dense = not colors or (colors[0] == 0 and colors[-1] == len(colors) - 1)
+    buckets: list[list[int]] | dict[int, list[int]] = [()] * len(colors) if dense else {}
     succ = build_square_orientation(n).succ if checked else ()
     colored = bytearray(n * n)
     flat = [0] * (n * n)
     left = n * n
-    for color in colors:
-        if not left:
-            break
-        candidates = [v for v in buckets[color] if not colored[v]]  # ascending
-        buckets[color] = ()  # free it for the passes still to come
-        if not candidates:
-            continue
-        chosen = square_kernel_oracle(n, candidates)
-        if chosen is not None:
-            chosen = frozenset(chosen)
-        if chosen is None or not is_square_kernel(n, candidates, chosen):
-            raise KernelOracleError(
-                color,
-                frozenset(candidates),
-                chosen,
-                {
-                    v: frozenset(c for c in cells[v] if c >= color)
-                    for v in range(n * n)
-                    if not colored[v]
-                },
-            )
-        for v in chosen:
-            colored[v] = 1
-            flat[v] = color
-        left -= len(chosen)
-        if trace is not None:
-            trace.append(ColorPass(color, frozenset(candidates), chosen))
-        if checked:
-            for v in range(n * n):
-                if colored[v]:
-                    continue
-                remaining = sum(1 for c in cells[v] if c > color)
-                residual_out = sum(1 for w in succ[v] if not colored[w])
-                if remaining <= residual_out:
-                    raise AssertionError(
-                        f"slack invariant violated at vertex {v} after color {color}: "
-                        f"{remaining} colors vs residual outdegree {residual_out}"
-                    )
+    start, size = 0, max(n // 2, 1)
+    while left and start < len(colors):
+        window = colors[start : start + size]
+        if dense:
+            buckets[start : start + size] = [[] for _ in window]
+        else:
+            buckets = {color: [] for color in window}
+        # A method call, not &, so that cells given as tuples still work.
+        listed = set(window).intersection
+        for v, cell in enumerate(cells):
+            if not colored[v]:
+                for color in listed(cell):
+                    buckets[color].append(v)
+        for color in window:
+            if not left:
+                break
+            candidates = [v for v in buckets[color] if not colored[v]]  # ascending
+            buckets[color] = ()  # free it for the passes still to come
+            if not candidates:
+                continue
+            chosen = square_kernel_oracle(n, candidates)
+            if chosen is not None:
+                chosen = frozenset(chosen)
+            if chosen is None or not is_square_kernel(n, candidates, chosen):
+                raise KernelOracleError(
+                    color,
+                    frozenset(candidates),
+                    chosen,
+                    {
+                        v: frozenset(c for c in cells[v] if c >= color)
+                        for v in range(n * n)
+                        if not colored[v]
+                    },
+                )
+            for v in chosen:
+                colored[v] = 1
+                flat[v] = color
+            left -= len(chosen)
+            if trace is not None:
+                trace.append(ColorPass(color, frozenset(candidates), chosen))
+            if checked:
+                for v in range(n * n):
+                    if colored[v]:
+                        continue
+                    remaining = sum(1 for c in cells[v] if c > color)
+                    residual_out = sum(1 for w in succ[v] if not colored[w])
+                    if remaining <= residual_out:
+                        raise AssertionError(
+                            f"slack invariant violated at vertex {v} after color {color}: "
+                            f"{remaining} colors vs residual outdegree {residual_out}"
+                        )
+        start += size
+        size *= 2
     if left:
         raise RuntimeError(
             f"no colors left but {left} cells uncolored; "

@@ -511,6 +511,44 @@ class TestVerifyStream:
         assert run(capsys, "verify", str(inst), sol) == (0, "valid\n", "")
         assert calls == [0, 1, 2, 3, 4]
 
+    def test_faulty_solution_reads_the_instance_once(self, tmp_path, capsys, monkeypatch):
+        """verify checks each streamed row once when the solution is at
+        fault, and prints what the whole document's read prints."""
+        calls = []
+
+        def spy(path, n, i, *rest):
+            calls.append(i)
+            return check_row(path, n, i, *rest)
+
+        check_row = cli._check_row
+        monkeypatch.setattr(cli, "_check_row", spy)
+        read_calls = self.read_instance_calls(monkeypatch)
+        _, out, _ = run(capsys, "gen", "--n", "12", "--seed", "1")
+        inst = tmp_path / "i.json"
+        inst.write_text(out)
+        sol = write_json(tmp_path, {"n": 3, "grid": [["c0"] * 3] * 3}, "s.json")
+        error = "error: solution dimensions do not match the instance\n"
+        assert run(capsys, "verify", str(inst), sol) == (2, "", error)
+        assert (len(calls), read_calls) == (12, [])
+        # Held warnings come out before the error, as the whole read's do.
+        doc = json.loads(out)
+        for cell in doc["lists"][0][0], doc["lists"][11][11]:
+            cell.append(cell[0])
+        streamed, whole = tmp_path / "dup.json", tmp_path / "sorted.json"
+        streamed.write_text(json.dumps(doc, indent=2))
+        whole.write_text(json.dumps(doc, sort_keys=True))
+        calls.clear()
+        code, out, err = run(capsys, "verify", str(streamed), sol)
+        assert (code, out, len(calls), read_calls) == (2, "", 12, [])
+        assert err == "".join(
+            f"warning: {streamed}: cell {cell} has duplicate colors; deduplicated\n"
+            for cell in ["(0, 0)", "(11, 11)"]
+        ) + error
+        assert run(capsys, "verify", str(whole), sol) == (
+            2, "", err.replace(str(streamed), str(whole))
+        )
+        assert read_calls == [str(whole)]
+
     def test_repeated_labels_stay_streamed(self, tmp_path, capsys, monkeypatch):
         """Interning finds the labels a streamed cell repeats: solve warns
         of each such cell in row-major order, as the whole document's
