@@ -24,20 +24,6 @@ from .digraph import (
     verify_list_coloring,
     vertex_subset,
 )
-from .kernel import (
-    PropertyXReport,
-    find_kernel_bruteforce,
-    has_property_x,
-    is_kernel,
-)
-from .matching import (
-    PreferenceProfile,
-    ProfileError,
-    StabilityReport,
-    deferred_acceptance,
-    enumerate_stable_matchings,
-    is_stable,
-)
 from .galvin import (
     ColorPass,
     DinitzInstance,
@@ -54,6 +40,30 @@ from .galvin import (
     verify_generalized_latin,
     vertex_to_cell,
 )
+
+# solve_dinitz never runs the exhaustive kernel code or the generic
+# matching: each of their names, and each of the two modules, is imported
+# on first use.
+_LAZY = {
+    name: module
+    for module, names in {
+        "kernel": (
+            "PropertyXReport",
+            "find_kernel_bruteforce",
+            "has_property_x",
+            "is_kernel",
+        ),
+        "matching": (
+            "PreferenceProfile",
+            "ProfileError",
+            "StabilityReport",
+            "deferred_acceptance",
+            "enumerate_stable_matchings",
+            "is_stable",
+        ),
+    }.items()
+    for name in (module, *names)
+}
 
 __version__ = "0.1.0"
 
@@ -97,3 +107,20 @@ __all__ = [
     "vertex_subset",
     "vertex_to_cell",
 ]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -27,9 +27,15 @@ and restores the caller's setting on every exit.  Parsed JSON trees,
 the interned instance and the solver hold no reference cycles, so the
 collector could free nothing in them; at n = 100 it spent about 0.1 s
 of a ``dinitz solve`` walking them.  Reference counting still frees
-them as they go.  The only cyclic garbage a command leaves is its
-argparse parser, a fixed few hundred objects, collected once the
-collector is back on.
+them as they go.  ``DinitzInstance.from_labels`` pauses the collector
+itself as well, so library callers intern at the same speed; here the
+pause covers the JSON reading, the solve and the output too.  The only
+cyclic garbage a command leaves is its argparse parser, a fixed few
+hundred objects, collected once the collector is back on.
+
+Each subcommand imports what only it needs when it runs: ``gen`` the
+``random`` module, ``propx`` and ``kernel`` the exhaustive kernel
+module.  ``solve`` and ``verify`` load neither.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ import gc
 import json
 import math
 import os
-import random
 import re
 import sys
 from types import SimpleNamespace
@@ -56,7 +61,6 @@ from .galvin import (
     square_kernel_oracle,
     verify_generalized_latin,
 )
-from .kernel import find_kernel_bruteforce, has_property_x
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -419,6 +423,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _warn(args, f"lists of {list_size} colors are below the solvable bound of {n}")
     if n > 0 and list_size == 0:
         return _error("lists must be non-empty for a non-empty grid")
+    import random
+
     universe = range(universe_size)
     rng = random.Random(args.seed)
     meta = {"seed": args.seed, "universe_size": universe_size, "list_size": list_size}
@@ -498,6 +504,8 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 
 def cmd_propx(args: argparse.Namespace) -> int:
+    from .kernel import has_property_x
+
     if args.max_vertices < 0:
         return _error("--max-vertices must be non-negative")
     try:
@@ -513,6 +521,8 @@ def cmd_propx(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .kernel import find_kernel_bruteforce
+
     try:
         g = _load_digraph(args.graph)
         subset = _parse_subset(args.subset, g)

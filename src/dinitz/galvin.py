@@ -19,16 +19,15 @@ arbitrary digraphs.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
 from operator import contains
 from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
-from .kernel import is_kernel
 
 __all__ = [
     "latin_value",
@@ -48,6 +47,57 @@ __all__ = [
 ]
 
 KernelOracle = Callable[[Digraph, frozenset[int]], "frozenset[int] | None"]
+
+
+def __getattr__(name: str):
+    """``is_kernel``, imported and bound on first use: only the generic loop
+    checks its oracle's answers with it, so that ``solve_dinitz`` runs
+    without the exhaustive kernel module."""
+    if name != "is_kernel":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .kernel import is_kernel
+
+    globals()[name] = is_kernel
+    return is_kernel
+
+
+class _Record:
+    """Fields set once by the constructor, read-only after it, and compared
+    and hashed as a tuple by instances of the same class only; the repr
+    names each field.  ``__match_args__`` lists the fields in order.  Names
+    starting with an underscore stay assignable, for private caches."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __setattr__(self, name: str, value) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class UndersizedListError(ValueError):
@@ -213,13 +263,13 @@ def is_square_kernel(n: int, s: Iterable[int], s_prime: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ColorPass:
+class ColorPass(_Record):
     """One round of the coloring loop: who wanted the color, who got it."""
 
-    color: int
-    candidates: frozenset[int]
-    chosen: frozenset[int]
+    __match_args__ = ("color", "candidates", "chosen")
+
+    def __init__(self, color: int, candidates: frozenset[int], chosen: frozenset[int]):
+        self._set_fields(color, candidates, chosen)
 
 
 def list_color_with_kernels(
@@ -245,6 +295,8 @@ def list_color_with_kernels(
     answer raises :class:`KernelOracleError` with the residual state.
     Appends a :class:`ColorPass` per round to ``trace`` when given.
     """
+    # The one bound here, which a caller may have replaced, or else imported now.
+    is_kernel = globals().get("is_kernel") or __getattr__("is_kernel")
     n = g.num_vertices
     if len(lists) != n:
         raise ValueError(f"expected {n} color lists, got {len(lists)}")
@@ -306,8 +358,7 @@ def list_color_with_kernels(
     return assigned
 
 
-@dataclass(frozen=True)
-class DinitzInstance:
+class DinitzInstance(_Record):
     """An n x n grid of color lists, with colors interned to dense ids.
 
     ``lists[r][c]`` is the frozenset of interned color ids available at
@@ -317,9 +368,15 @@ class DinitzInstance:
     directly rather than by :meth:`from_labels` may use any int ids.
     """
 
-    n: int
-    lists: tuple[tuple[frozenset[int], ...], ...]
-    labels: tuple[Hashable, ...]
+    __match_args__ = ("n", "lists", "labels")
+
+    def __init__(
+        self,
+        n: int,
+        lists: tuple[tuple[frozenset[int], ...], ...],
+        labels: tuple[Hashable, ...],
+    ):
+        self._set_fields(n, lists, labels)
 
     @classmethod
     def from_labels(
@@ -332,29 +389,42 @@ class DinitzInstance:
         sets are sorted before interning so the id assignment never
         depends on hash order; sequences keep their order.  Duplicate
         labels within a cell collapse.  Empty cells are rejected.
+
+        Runs with the cyclic garbage collector paused, ``rows``' own
+        iteration included, and restores the caller's setting on every
+        exit, return or raise.  The label table, cell sets and row tuples
+        it builds hold no reference cycles, so the collector could free
+        none of them; at n = 100 walking them took a quarter to a third
+        of the interning time.
         """
-        n = len(rows)
-        ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
-        get = ids.__getitem__  # numbers each label on first appearance
-        lists = []
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
-            interned = []
-            for j, cell in enumerate(row):
-                if isinstance(cell, (set, frozenset)):
-                    cell = sorted(cell)
-                elif not isinstance(cell, (list, tuple)):
-                    cell = list(cell)
-                if not cell:
-                    raise ValueError(f"cell ({i}, {j}) has an empty color list")
-                # frozenset(map(...)) grows its table one insert at a time and
-                # ends twice as large; copying a set sizes it for its cell.
-                interned.append(frozenset(set(map(get, cell))))
-            lists.append(tuple(interned))
-        inst = cls(n, tuple(lists), tuple(ids))
-        inst.__dict__["_colors"] = list(ids.values())  # each id is in some cell
-        return inst
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            n = len(rows)
+            ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
+            get = ids.__getitem__  # numbers each label on first appearance
+            lists = []
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+                interned = []
+                for j, cell in enumerate(row):
+                    if isinstance(cell, (set, frozenset)):
+                        cell = sorted(cell)
+                    elif not isinstance(cell, (list, tuple)):
+                        cell = list(cell)
+                    if not cell:
+                        raise ValueError(f"cell ({i}, {j}) has an empty color list")
+                    # frozenset(map(...)) grows its table one insert at a time and
+                    # ends twice as large; copying a set sizes it for its cell.
+                    interned.append(frozenset(set(map(get, cell))))
+                lists.append(tuple(interned))
+            inst = cls(n, tuple(lists), tuple(ids))
+            inst._colors = list(ids.values())  # each id is in some cell
+            return inst
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def intern_grid(self, rows: Sequence[Sequence[Hashable]]) -> list[list[int]]:
         """Map a grid of labels to color ids; unknown labels get fresh
@@ -388,18 +458,19 @@ class DinitzInstance:
         return sorted(set().union(*chain.from_iterable(self.lists)))
 
 
-@dataclass(frozen=True)
-class LatinReport:
+class LatinReport(_Record):
     """Outcome of a generalized-Latin-square check.
 
     ``reason`` is "row-repeat", "column-repeat" or "not-in-list" when
     invalid, with ``row``/``col`` locating the violation.
     """
 
-    valid: bool
-    reason: str = ""
-    row: int | None = None
-    col: int | None = None
+    __match_args__ = ("valid", "reason", "row", "col")
+
+    def __init__(
+        self, valid: bool, reason: str = "", row: int | None = None, col: int | None = None
+    ):
+        self._set_fields(valid, reason, row, col)
 
 
 def solve_dinitz(

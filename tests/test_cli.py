@@ -19,7 +19,8 @@ from dinitz import (
     make_digraph,
     parse_digraph,
 )
-from dinitz import cli
+import dinitz
+from dinitz import cli, galvin
 from dinitz.cli import main
 from dinitz.digraph import MAX_EDGES, MAX_VERTICES
 from dinitz.kernel import DEFAULT_KERNEL_CAP
@@ -1043,6 +1044,68 @@ class TestImportBoundary:
         added = proc.stdout.split()
         assert "dinitz.galvin" in added
         assert not {"dinitz.cli", "argparse", "json"} & set(added)
+
+    # Modules the solve path never runs.  The interpreter starts without
+    # site (-S), which on some hosts imports random itself.
+    GENERIC = {"dinitz.kernel", "dinitz.matching"}
+
+    def fresh_python(self, code):
+        """The standard output of ``code`` in a new interpreter."""
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+            env=cli_env(False), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize(
+        "module, unloaded",
+        [("dinitz", GENERIC), ("dinitz.cli", GENERIC | {"random"})],
+    )
+    def test_import_skips_the_kernel_and_matching_modules(self, module, unloaded):
+        code = (
+            "import sys; before = set(sys.modules); "
+            f"import {module}; "
+            "print(' '.join(sorted(before)), ' '.join(sorted(sys.modules)), sep='\\n')"
+        )
+        before, after = map(str.split, self.fresh_python(code).splitlines())
+        assert not unloaded & set(before)
+        assert "dinitz.galvin" in after
+        assert not unloaded & set(after)
+
+    def test_star_import_binds_each_name_from_its_module(self):
+        homes = {
+            name: "dinitz.galvin" if name in galvin.__all__ else getattr(dinitz, name).__module__
+            for name in dinitz.__all__
+        }
+        assert set(homes.values()) == {
+            "dinitz.galvin", "dinitz.digraph", "dinitz.kernel", "dinitz.matching"
+        }
+        code = (
+            "import sys\n"
+            "from dinitz import *\n"
+            f"homes = {homes!r}\n"
+            "print(*sorted(name for name, module in homes.items()\n"
+            "              if globals()[name] is not getattr(sys.modules[module], name)))"
+        )
+        assert self.fresh_python(code).split() == []
+
+    def test_dir_lists_every_public_name_and_module(self):
+        code = (
+            "import sys, dinitz; names = dir(dinitz); "
+            "print(' '.join(names)); print(' '.join(sorted(sys.modules)))"
+        )
+        names, loaded = map(str.split, self.fresh_python(code).splitlines())
+        assert set(dinitz.__all__) | {"kernel", "matching"} <= set(names)
+        assert not self.GENERIC & set(loaded)
+
+    @pytest.mark.parametrize("module", ["kernel", "matching"])
+    def test_modules_resolve_on_first_use(self, module):
+        code = (
+            "import sys, dinitz\n"
+            f"print(dinitz.{module} is sys.modules['dinitz.{module}'])"
+        )
+        assert self.fresh_python(code) == "True\n"
 
 
 class TestClosedStdout:
